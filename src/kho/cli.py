@@ -3,7 +3,7 @@
 Subcommands: evolve, qfunc, energy-scan, spectrum, resonances, verify.
 Exit status: 0 success, 1 usage error, 2 truncation-unsafe result,
 3 verification failure.  All outputs are deterministic: the same flags
-produce byte-identical files.
+produce byte-identical files under a fixed BLAS thread setting.
 """
 
 from __future__ import annotations
@@ -30,7 +30,17 @@ UNREACHED = -1  # sentinel for scan points that never hit a target
 class _Parser(argparse.ArgumentParser):
     def error(self, message):
         self.print_usage(sys.stderr)
-        self.exit(EXIT_USAGE, f"{self.prog}: error: {message}\n")
+        self.exit(EXIT_USAGE, f"kho: error: {message}\n")
+
+
+def _int_at_least(lo: int):
+    def parse(text: str) -> int:
+        value = int(text)
+        if value < lo:
+            raise argparse.ArgumentTypeError(f"must be an integer >= {lo}, got {value}")
+        return value
+    parse.__name__ = "int"  # argparse names the type in its invalid-value message
+    return parse
 
 
 def _parse_window(text: str) -> tuple[float, float, float, float]:
@@ -45,6 +55,8 @@ def _parse_window(text: str) -> tuple[float, float, float, float]:
 
 def _parse_res(text: str) -> tuple[int, int]:
     parts = [int(p) for p in text.split(",")]
+    if min(parts) < 2:
+        raise argparse.ArgumentTypeError("res needs at least 2 samples per axis")
     if len(parts) == 1:
         return (parts[0], parts[0])
     if len(parts) == 2:
@@ -58,7 +70,7 @@ def _add_system_flags(p, eta2_default="pi"):
     p.add_argument("--kappa", type=float, default=-0.8, help="dimensionless kick strength")
     p.add_argument("--eta2", default=eta2_default,
                    help="eta^2, symbolic: float | pi | pi/2 | 2pi/sqrt3 | phi*pi | a/b*pi")
-    p.add_argument("--dim", type=int, default=500, help="Fock basis size")
+    p.add_argument("--dim", type=_int_at_least(1), default=500, help="Fock basis size")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -67,14 +79,14 @@ def build_parser() -> argparse.ArgumentParser:
 
     pe = sub.add_parser("evolve", help="propagate and emit the energy trace")
     _add_system_flags(pe)
-    pe.add_argument("--kicks", type=int, default=108)
+    pe.add_argument("--kicks", type=_int_at_least(0), default=108)
     pe.add_argument("--alpha", type=complex, default=0j, help="initial coherent amplitude")
     pe.add_argument("--out", default="evolve.csv")
     pe.add_argument("--state-out", default=None, help="optional final-state JSON path")
 
     pq = sub.add_parser("qfunc", help="evolve and sample the Husimi Q function")
     _add_system_flags(pq, eta2_default=None)
-    pq.add_argument("--kicks", type=int, default=None)
+    pq.add_argument("--kicks", type=_int_at_least(0), default=None)
     pq.add_argument("--alpha", type=complex, default=0j)
     pq.add_argument("--window", type=_parse_window, default=_parse_window("16"))
     pq.add_argument("--res", type=_parse_res, default=(101, 101))
@@ -83,19 +95,19 @@ def build_parser() -> argparse.ArgumentParser:
 
     ps = sub.add_parser("energy-scan", help="kicks needed to reach 50 and 200 hbar*omega vs eta^2")
     _add_system_flags(ps)
-    ps.add_argument("--kicks", type=int, default=2000, help="kick budget per point")
+    ps.add_argument("--kicks", type=_int_at_least(0), default=2000, help="kick budget per point")
     ps.add_argument("--scan-min", default="0.4*pi")
     ps.add_argument("--scan-max", default="1.6*pi")
-    ps.add_argument("--scan-points", type=int, default=61)
-    ps.add_argument("--threads", type=int, default=1)
+    ps.add_argument("--scan-points", type=_int_at_least(1), default=61)
+    ps.add_argument("--threads", type=_int_at_least(1), default=1)
     ps.add_argument("--out", default="energy_scan.csv")
 
     pp = sub.add_parser("spectrum", help="quasienergy spectrum vs eta^2")
     _add_system_flags(pp)
     pp.add_argument("--scan-min", default="0.2*pi")
     pp.add_argument("--scan-max", default="1.8*pi")
-    pp.add_argument("--scan-points", type=int, default=161)
-    pp.add_argument("--threads", type=int, default=1)
+    pp.add_argument("--scan-points", type=_int_at_least(1), default=161)
+    pp.add_argument("--threads", type=_int_at_least(1), default=1)
     pp.add_argument("--out", default="spectrum.csv")
 
     pr = sub.add_parser("resonances", help="resonance table and z_n enumeration")
@@ -225,12 +237,8 @@ def cmd_energy_scan(args) -> int:
 def _spectrum_point(payload):
     idx, eta_sq, q, r, kappa, dim = payload
     params = model.SystemParams(r=r, q=q, kappa=kappa, eta_sq=eta_sq)
-    try:
-        res = fock.quasienergy_spectrum(params, dim)
-    except fock.EigensolverError as exc:
-        return idx, None, str(exc)
-    rows = [(eta_sq, rec.phi, rec.ground_overlap) for rec in res.records]
-    return idx, rows, f"discarded={res.n_discarded}" if res.n_discarded else None
+    res = fock.quasienergy_spectrum(params, dim)
+    return idx, [(eta_sq, rec.phi, rec.ground_overlap) for rec in res.records]
 
 
 def cmd_spectrum(args) -> int:
@@ -239,20 +247,11 @@ def cmd_spectrum(args) -> int:
     grid = np.linspace(lo, hi, args.scan_points)
     payloads = [(i, float(e), args.q, args.r, args.kappa, args.dim)
                 for i, e in enumerate(grid)]
-    results = _map_points(_spectrum_point, payloads, args.threads)
-    rows, notes = [], []
-    for idx, point_rows, note in results:
-        if point_rows is None:
-            notes.append(f"point {idx} failed: {note}")
-            continue
-        rows.extend(point_rows)
-        if note:
-            notes.append(f"point {idx}: {note}")
+    rows = [row for _, point_rows in _map_points(_spectrum_point, payloads, args.threads)
+            for row in point_rows]
     cfg = _config_echo(args, ["q", "r", "kappa", "dim",
                               "scan-min", "scan-max", "scan-points"])
-    output.write_spectrum(args.out, cfg, rows, notes or None)
-    for n in notes:
-        print(f"kho spectrum: {n}", file=sys.stderr)
+    output.write_spectrum(args.out, cfg, rows)
     return EXIT_OK
 
 

@@ -2,13 +2,27 @@
 Floquet operator construction, state propagation, quasienergy spectra, and
 phase-space observables.
 
-The kick factor is built by diagonalizing the (Hermitian, tridiagonal)
-quadrature operator eta*(a + a^dag) once per (eta, D) and exponentiating on
-its spectrum, so it is exactly unitary regardless of truncation.  Interior-
-block comparisons between operator identities use a light-cone block: only
-states whose phase-space radius sits more than a fixed buffer inside the
-truncation edge sqrt(D) are compared, since edge effects propagate inward
-by roughly the total displacement reach of the operators involved.
+Each kick factor is built by diagonalizing the (Hermitian, tridiagonal)
+quadrature operator eta*(a e^{-i theta} + a^dag e^{i theta}) of its axis and
+exponentiating on its spectrum, so it is exactly unitary regardless of
+truncation.  Nothing is cached between calls: `kick_axis_product`
+diagonalizes each of its q rotated factors in turn.
+
+Quasienergy spectra use the structure of F = P K, with P the diagonal free
+factor and K = V diag(e^{i zeta cos x}) V^T complex symmetric (V real
+orthogonal).  F is similar, through P^{1/2}, to the complex-symmetric unitary
+S = P^{1/2} K P^{1/2}.  The real and imaginary parts C, D of
+G = e^{i delta} S commute and satisfy C^2 + D^2 = I, so S has real
+orthonormal eigenvectors O, which are those of the real symmetric Cayley
+transform (I + C)^{-1} D (eigenvalues tan(theta/2) for G's e^{i theta}).
+`quasienergy_spectrum` finds O by Cholesky on I + C and a real `eigh`; the
+ground overlaps are O[0, k]^2 and the phases the Rayleigh quotients O^T S O.
+
+Interior-block comparisons between operator identities use a light-cone
+block: only states whose phase-space radius sits more than a fixed buffer
+inside the truncation edge sqrt(D) are compared, since edge effects
+propagate inward by roughly the total displacement reach of the operators
+involved.
 """
 
 from __future__ import annotations
@@ -17,18 +31,15 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import eigh_tridiagonal
+from scipy.linalg import cho_factor, cho_solve, eigh, eigh_tridiagonal
 
 from . import specfun
 from .model import ResonanceKind, SystemParams, classify
 
 DEFAULT_LEAK_TOL = 1e-8
 DEFAULT_EDGE_BUFFER = 8.0  # phase-space radius units, see interior_block
-EIGVAL_DISCARD_TOL = 1e-6
-
-
-class EigensolverError(RuntimeError):
-    """Dense eigensolver failed; message carries a condition diagnostic."""
+EIGEN_RESIDUAL_TOL = 1e-10  # max ||S o_k - mu_k o_k|| accepted by quasienergy_spectrum
+_RAYLEIGH_BLOCK = 128  # eigenvector columns per residual block, bounds scratch memory
 
 
 @dataclass
@@ -122,10 +133,11 @@ class QuasienergyRecord:
 @dataclass
 class SpectrumResult:
     records: list[QuasienergyRecord]
-    n_discarded: int
+    n_discarded: int = 0  # always 0: every eigenphase of the unitary F is kept
     params: SystemParams | None = None
     dim: int = 0
-    max_unit_defect: float = 0.0  # max ||lambda|-1| among retained eigenvalues
+    max_unit_defect: float = 0.0  # max ||mu_k| - 1| over the Rayleigh quotients
+    max_residual: float = 0.0  # max ||S o_k - mu_k o_k||
 
 
 def ground_state(dim: int) -> FockVector:
@@ -273,16 +285,21 @@ def mismatch_up_to_phase(a: np.ndarray, b: np.ndarray, block: int) -> float:
     return interior_max(b - phase_align(a, b), block)
 
 
-def symmetry_commutator_norm(params: SystemParams, dim: int, gen: complex,
+def symmetry_commutator_norm(params: SystemParams, dim: int, *gens: complex,
                              block: int | None = None) -> float:
-    """Interior max-norm of [F^q, D(gen)] for a symmetry-set generator."""
-    if gen == 0:
+    """Worst interior max-norm of [F^q, D(gen)] over symmetry-set generators;
+    F^q is built once for all of them."""
+    gens = [g for g in gens if g != 0]
+    if not gens:
         return 0.0
     if block is None:
         block = interior_block(dim)
     fq = floquet_power(params, dim, params.q)
-    dg = specfun.displacement_matrix(gen, dim)
-    return interior_max(fq @ dg - dg @ fq, block)
+    worst = 0.0
+    for gen in gens:
+        dg = specfun.displacement_matrix(gen, dim)
+        worst = max(worst, interior_max(fq @ dg - dg @ fq, block))
+    return worst
 
 
 # ---------------------------------------------------------------------------
@@ -375,30 +392,38 @@ def q_function(state: FockVector, window: tuple[float, float, float, float],
     return QGrid(re_min, re_max, im_min, im_max, values)
 
 
-def quasienergy_spectrum(params: SystemParams, dim: int,
-                         discard_tol: float = EIGVAL_DISCARD_TOL) -> SpectrumResult:
-    """Eigenphases of F with ground-state overlap weights.
-
-    Eigenvalues off the unit circle by more than discard_tol (truncation
-    artifacts) are dropped and counted.
-    """
-    f = floquet(params, dim).matrix
-    try:
-        lam, vecs = np.linalg.eig(f)
-    except np.linalg.LinAlgError as exc:
-        raise EigensolverError(
-            f"eig failed at dim={dim}, params={params}; "
-            f"max|F|={np.abs(f).max():.3e}, cond(F)~{np.linalg.cond(f):.3e}") from exc
-    defects = np.abs(np.abs(lam) - 1.0)
-    keep = defects < discard_tol
-    order = np.argsort(np.angle(lam[keep]))
-    phis = np.angle(lam[keep])[order]
-    overlaps = np.abs(vecs[0, keep]) ** 2
-    overlaps = overlaps[order]
-    records = [QuasienergyRecord(float(p), float(o)) for p, o in zip(phis, overlaps)]
-    return SpectrumResult(records=records, n_discarded=int(np.sum(~keep)),
-                          params=params, dim=dim,
-                          max_unit_defect=float(defects[keep].max()) if keep.any() else 0.0)
+def quasienergy_spectrum(params: SystemParams, dim: int) -> SpectrumResult:
+    """Eigenphases of F with ground-state overlap weights, by the Cayley
+    route of the module docstring.  delta puts -1 midway between two
+    free-band centres, keeping I + C positive definite; a residual
+    ||S o_k - mu_k o_k|| above EIGEN_RESIDUAL_TOL raises LinAlgError."""
+    delta = params.tau / 2.0 + math.pi + math.pi / params.q
+    half = np.exp(0.5j * (delta - (np.arange(dim) + 0.5) * params.tau))
+    gmat = build_kick(params, dim)
+    gmat *= np.outer(half, half)
+    h = cho_solve(cho_factor(np.eye(dim) + gmat.real, overwrite_a=True, check_finite=False),
+                  gmat.imag, check_finite=False)
+    h += h.T  # 2H, exactly symmetric, same eigenvectors
+    vecs = eigh(h, overwrite_a=True, check_finite=False)[1]
+    mu, residual = np.empty(dim, dtype=complex), 0.0
+    for lo in range(0, dim, _RAYLEIGH_BLOCK):
+        block = vecs[:, lo:lo + _RAYLEIGH_BLOCK]
+        # row k is (G o_k)^T as G is symmetric; one real GEMM on (Re, Im) columns
+        g_block = (block.T @ gmat.view(np.float64)).view(complex)
+        mu[lo:lo + block.shape[1]] = m = np.einsum("kj,jk->k", g_block, block)
+        g_block -= m[:, None] * block.T
+        residual = max(residual, float(np.linalg.norm(g_block, axis=1).max()))
+    if residual > EIGEN_RESIDUAL_TOL:
+        raise np.linalg.LinAlgError(
+            f"Cayley eigensolve residual {residual:.3e} at dim={dim}, {params}")
+    phis = np.angle(mu * np.exp(-1j * delta))
+    phis[phis == -math.pi] = math.pi  # keep phases in (-pi, pi]
+    order = np.argsort(phis)
+    return SpectrumResult(
+        records=[QuasienergyRecord(float(p), float(o))
+                 for p, o in zip(phis[order], vecs[0, order] ** 2)],
+        params=params, dim=dim, max_unit_defect=float(np.abs(np.abs(mu) - 1.0).max()),
+        max_residual=residual)
 
 
 def band_max_gap(result: SpectrumResult, band: str = "uppermost") -> float:

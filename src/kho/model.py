@@ -79,8 +79,10 @@ class SystemParams:
             raise ValueError("r and q must be positive integers")
         if math.gcd(self.r, self.q) != 1:
             raise ValueError(f"r={self.r}, q={self.q} must be coprime")
-        if self.eta_sq <= 0:
-            raise ValueError("eta_sq must be positive")
+        if not (math.isfinite(self.eta_sq) and self.eta_sq > 0):
+            raise ValueError(f"eta_sq must be finite and positive, got {self.eta_sq}")
+        if not math.isfinite(self.kappa):
+            raise ValueError(f"kappa must be finite, got {self.kappa}")
 
     @property
     def tau(self) -> float:
@@ -274,5 +276,8 @@ def parse_eta2(text: str) -> float:
 
     value = atom(tokens[0])
     for op, tok in zip(tokens[1::2], tokens[2::2]):
-        value = value * atom(tok) if op == "*" else value / atom(tok)
+        factor = atom(tok)
+        if op == "/" and factor == 0.0:
+            raise ValueError(f"division by zero in eta^2 expression {text!r}")
+        value = value * factor if op == "*" else value / factor
     return value

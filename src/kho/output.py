@@ -65,9 +65,8 @@ def write_energy_scan(path, config: dict, rows, extra_header=None) -> None:
               ["eta_sq", "kicks_to_50", "kicks_to_200"], rows, extra_header)
 
 
-def write_spectrum(path, config: dict, rows, extra_header=None) -> None:
-    write_csv(path, "spectrum", config,
-              ["eta_sq", "phi", "ground_overlap"], rows, extra_header)
+def write_spectrum(path, config: dict, rows) -> None:
+    write_csv(path, "spectrum", config, ["eta_sq", "phi", "ground_overlap"], rows)
 
 
 def fock_state_json(state: FockVector) -> str:

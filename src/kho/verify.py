@@ -206,7 +206,7 @@ def check_commutators(dim: int = 512) -> list[CheckResult]:
             t0 = time.time()
             params = model.SystemParams(r=1, q=q, kappa=-0.8, eta_sq=eta_sq)
             gens = model.symmetry_generators(q, params.eta, "gamma").generators
-            worst = max(fock.symmetry_commutator_norm(params, dim, g) for g in gens)
+            worst = fock.symmetry_commutator_norm(params, dim, *gens)
             out.append(_check(
                 f"[F^q, D(gamma)] q={q} eta2={tag} (D={dim})", worst, 1e-6, t0))
     return out

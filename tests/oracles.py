@@ -2,13 +2,17 @@
 
 These deliberately avoid the library's computation paths: Bessel values come
 from the ascending power series (the implementation uses downward
-recurrence), and the lattice one-kick map is evaluated in gather form
-directly off the recurrence definition (the implementation scatters).
+recurrence), the lattice one-kick map is evaluated in gather form directly
+off the recurrence definition (the implementation scatters), and quasienergy
+spectra come from a general complex eigensolve of F (the implementation uses
+a real symmetric Cayley transform).
 """
 
 import math
 
-from kho import specfun
+import numpy as np
+
+from kho import fock, specfun
 from kho.lattice import XI_Q, LatticeState
 
 
@@ -87,3 +91,13 @@ def kick_ground_element(zeta: float, eta_sq: float) -> complex:
         if abs(jk) < 1e-18 and k > 3:
             return total
         k += 1
+
+
+def quasienergy_eig(params, dim: int) -> tuple[np.ndarray, np.ndarray]:
+    """Eigenphases of the Floquet matrix F in (-pi, pi] with ground
+    overlaps |<0|v>|^2, from np.linalg.eig on F, sorted by phase."""
+    lam, vecs = np.linalg.eig(fock.floquet(params, dim).matrix)
+    phis = np.angle(lam)
+    phis[phis == -math.pi] = math.pi
+    order = np.argsort(phis)
+    return phis[order], np.abs(vecs[0, order]) ** 2

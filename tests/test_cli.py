@@ -1,9 +1,14 @@
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import kho
 from kho import cli, fock, model, output
 from kho.cli import main
 
@@ -220,3 +225,31 @@ class TestUsageErrors:
         with pytest.raises(SystemExit) as exc:
             main(["qfunc", "--eta2", "pi", "--window", "1,2,3"])
         assert exc.value.code == cli.EXIT_USAGE
+
+    @pytest.mark.parametrize("argv", [
+        ["evolve", "--eta2", "pi/0"],
+        ["evolve", "--eta2", "nan"],
+        ["evolve", "--eta2", "inf"],
+        ["evolve", "--eta2", "-1"],
+        ["evolve", "--kappa", "nan"],
+        ["evolve", "--kappa", "inf"],
+        ["evolve", "--kicks", "-1"],
+        ["evolve", "--dim", "0"],
+        ["qfunc", "--eta2", "pi", "--res", "1"],
+        ["qfunc", "--eta2", "pi", "--res", "5,1"],
+        ["spectrum", "--scan-points", "0"],
+        ["energy-scan", "--scan-points", "0"],
+        ["energy-scan", "--threads", "0"],
+        ["spectrum", "--threads", "0"],
+    ])
+    def test_bad_input_is_clean_usage_error(self, tmp_path, argv):
+        src = str(Path(kho.__file__).resolve().parents[1])
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            filter(None, [src, os.environ.get("PYTHONPATH")])))
+        proc = subprocess.run([sys.executable, "-m", "kho.cli", *argv,
+                               "--out", str(tmp_path / "out.csv")],
+                              capture_output=True, text=True, env=env, cwd=tmp_path,
+                              timeout=120)
+        assert proc.returncode == cli.EXIT_USAGE
+        assert "kho: error:" in proc.stderr
+        assert "Traceback" not in proc.stderr

@@ -6,7 +6,7 @@ import pytest
 from kho import fock, model
 from kho.model import SystemParams
 
-from oracles import kick_ground_element
+from oracles import kick_ground_element, quasienergy_eig
 
 PHI = model.GOLDEN_RATIO
 
@@ -254,6 +254,42 @@ class TestQuasienergy:
         res = fock.quasienergy_spectrum(params_q4(), 128)
         gap = fock.band_max_gap(res)
         assert 0.0 < gap < 2 * math.pi / 4
+
+    @pytest.mark.parametrize("r,q,kappa,eta_sq,dim", [
+        (1, 1, 0.0, math.pi, 48),  # F = -I: every eigenvalue sits on -1
+        (1, 3, -0.8, 2 * math.pi / math.sqrt(3), 96),
+        (1, 6, 2.5, PHI * math.pi, 96),
+        (1, 4, -8.0, math.pi, 128),
+        (2, 5, 8.0, 1.3, 96),
+        (3, 4, -0.8, PHI * math.pi, 96),
+        (3, 7, -5.0, 2.5, 96),
+    ])
+    def test_matches_eig_oracle(self, r, q, kappa, eta_sq, dim):
+        p = SystemParams(r=r, q=q, kappa=kappa, eta_sq=eta_sq)
+        res = fock.quasienergy_spectrum(p, dim)
+        phis = np.array([rec.phi for rec in res.records])
+        overlaps = np.array([rec.ground_overlap for rec in res.records])
+        ref_phis, ref_overlaps = quasienergy_eig(p, dim)
+        assert np.all((phis > -math.pi) & (phis <= math.pi))
+        assert np.all(np.diff(phis) >= 0)
+        # phases match on the circle, so a wrap at +-pi is not a mismatch
+        dist = np.abs(np.angle(np.exp(1j * (phis[:, None] - ref_phis[None, :]))))
+        assert dist.min(axis=1).max() < 1e-12
+        assert dist.min(axis=0).max() < 1e-12
+        # overlaps are defined only where the eigenvector is unique
+        gaps = np.diff(np.concatenate([phis, [phis[0] + 2 * math.pi]]))
+        isolated = np.minimum(gaps, np.roll(gaps, 1)) > 1e-4
+        if kappa != 0.0:
+            assert isolated.sum() > dim // 2
+        nearest = np.argmin(dist, axis=1)
+        assert np.all(np.abs(overlaps - ref_overlaps[nearest])[isolated] < 1e-9)
+        assert res.max_residual < 1e-10
+        assert math.fsum(overlaps) == pytest.approx(1.0, abs=1e-12)
+
+    def test_residual_bound_raises(self, monkeypatch):
+        monkeypatch.setattr(fock, "EIGEN_RESIDUAL_TOL", 0.0)
+        with pytest.raises(np.linalg.LinAlgError, match="residual"):
+            fock.quasienergy_spectrum(params_q4(), 32)
 
 
 class TestSymmetryCommutator:

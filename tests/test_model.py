@@ -81,6 +81,14 @@ class TestSystemParams:
         with pytest.raises(ValueError):
             SystemParams(r=2, q=4, kappa=-0.8, eta_sq=math.pi)
 
+    @pytest.mark.parametrize("kappa,eta_sq", [
+        (-0.8, math.nan), (-0.8, math.inf), (-0.8, 0.0), (-0.8, -1.0),
+        (math.nan, math.pi), (math.inf, math.pi), (-math.inf, math.pi),
+    ])
+    def test_rejects_nonfinite_or_nonpositive(self, kappa, eta_sq):
+        with pytest.raises(ValueError):
+            SystemParams(r=1, q=4, kappa=kappa, eta_sq=eta_sq)
+
 
 class TestResonantValues:
     def test_table(self):
@@ -210,3 +218,5 @@ class TestParseEta2:
             parse_eta2("tau*2")
         with pytest.raises(ValueError):
             parse_eta2("")
+        with pytest.raises(ValueError):
+            parse_eta2("pi/0")
