@@ -39,7 +39,7 @@ from .model import ResonanceKind, SystemParams, classify
 DEFAULT_LEAK_TOL = 1e-8
 DEFAULT_EDGE_BUFFER = 8.0  # phase-space radius units, see interior_block
 EIGEN_RESIDUAL_TOL = 1e-10  # max ||S o_k - mu_k o_k|| accepted by quasienergy_spectrum
-_RAYLEIGH_BLOCK = 128  # eigenvector columns per residual block, bounds scratch memory
+_CAYLEY_SHIFTS = 3  # Cayley shifts quasienergy_spectrum tries before it raises
 
 
 @dataclass
@@ -394,36 +394,47 @@ def q_function(state: FockVector, window: tuple[float, float, float, float],
 
 def quasienergy_spectrum(params: SystemParams, dim: int) -> SpectrumResult:
     """Eigenphases of F with ground-state overlap weights, by the Cayley
-    route of the module docstring.  delta puts -1 midway between two
-    free-band centres, keeping I + C positive definite; a residual
-    ||S o_k - mu_k o_k|| above EIGEN_RESIDUAL_TOL raises LinAlgError."""
-    delta = params.tau / 2.0 + math.pi + math.pi / params.q
-    half = np.exp(0.5j * (delta - (np.arange(dim) + 0.5) * params.tau))
+    route of the module docstring.  The first shift puts -1 midway between
+    two free-band centres.  While the residual max ||S o_k - mu_k o_k||
+    exceeds EIGEN_RESIDUAL_TOL, or Cholesky fails, the next shift puts -1
+    midway across the widest gap of the phases found; LinAlgError once
+    _CAYLEY_SHIFTS shifts have failed."""
+    shift = params.tau / 2.0 + math.pi + math.pi / params.q
+    half = np.exp(0.5j * (shift - (np.arange(dim) + 0.5) * params.tau))
     gmat = build_kick(params, dim)
-    gmat *= np.outer(half, half)
-    h = cho_solve(cho_factor(np.eye(dim) + gmat.real, overwrite_a=True, check_finite=False),
-                  gmat.imag, check_finite=False)
-    h += h.T  # 2H, exactly symmetric, same eigenvectors
-    vecs = eigh(h, overwrite_a=True, check_finite=False)[1]
-    mu, residual = np.empty(dim, dtype=complex), 0.0
-    for lo in range(0, dim, _RAYLEIGH_BLOCK):
-        block = vecs[:, lo:lo + _RAYLEIGH_BLOCK]
-        # row k is (G o_k)^T as G is symmetric; one real GEMM on (Re, Im) columns
-        g_block = (block.T @ gmat.view(np.float64)).view(complex)
-        mu[lo:lo + block.shape[1]] = m = np.einsum("kj,jk->k", g_block, block)
-        g_block -= m[:, None] * block.T
-        residual = max(residual, float(np.linalg.norm(g_block, axis=1).max()))
-    if residual > EIGEN_RESIDUAL_TOL:
+    gmat *= np.outer(half, half)  # G = e^{i shift} S
+    for _ in range(_CAYLEY_SHIFTS):
+        try:
+            ipc = cho_factor(np.eye(dim) + gmat.real, overwrite_a=True, check_finite=False)
+            h = cho_solve(ipc, gmat.imag, check_finite=False)
+        except np.linalg.LinAlgError:  # an eigenvalue of G on -1: the gap rule turns G to -G
+            mu, residual = np.array([-1.0 + 0j]), math.inf
+        else:
+            h += h.T  # 2H, exactly symmetric, same eigenvectors
+            vecs = eigh(h, overwrite_a=True, check_finite=False)[1]
+            del ipc, h  # frees two D x D buffers before the Rayleigh step's peak
+            # row k is (G o_k)^T as G is symmetric; one real GEMM on (Re, Im) columns
+            g_vecs = (vecs.T @ gmat.view(np.float64)).view(complex)
+            mu = np.einsum("kj,jk->k", g_vecs, vecs)
+            g_vecs -= mu[:, None] * vecs.T
+            residual = float(np.linalg.norm(g_vecs, axis=1).max())
+            if residual <= EIGEN_RESIDUAL_TOL:
+                break
+        theta = np.sort(np.angle(mu))
+        gaps = np.diff(theta, append=theta[0] + 2.0 * math.pi)
+        turn = math.pi - float(theta[np.argmax(gaps)] + gaps.max() / 2.0)
+        gmat *= np.exp(1j * turn)
+        shift += turn
+    else:
         raise np.linalg.LinAlgError(
             f"Cayley eigensolve residual {residual:.3e} at dim={dim}, {params}")
-    phis = np.angle(mu * np.exp(-1j * delta))
+    phis = np.angle(mu * np.exp(-1j * shift))
     phis[phis == -math.pi] = math.pi  # keep phases in (-pi, pi]
     order = np.argsort(phis)
-    return SpectrumResult(
-        records=[QuasienergyRecord(float(p), float(o))
-                 for p, o in zip(phis[order], vecs[0, order] ** 2)],
-        params=params, dim=dim, max_unit_defect=float(np.abs(np.abs(mu) - 1.0).max()),
-        max_residual=residual)
+    records = [QuasienergyRecord(float(p), float(o))
+               for p, o in zip(phis[order], vecs[0, order] ** 2)]
+    return SpectrumResult(records, params=params, dim=dim, max_residual=residual,
+                          max_unit_defect=float(np.abs(np.abs(mu) - 1.0).max()))
 
 
 def band_max_gap(result: SpectrumResult, band: str = "uppermost") -> float:

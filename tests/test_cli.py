@@ -1,14 +1,9 @@
 import json
 import math
-import os
-import subprocess
-import sys
-from pathlib import Path
 
 import numpy as np
 import pytest
 
-import kho
 from kho import cli, fock, model, output
 from kho.cli import main
 
@@ -242,14 +237,13 @@ class TestUsageErrors:
         ["energy-scan", "--threads", "0"],
         ["spectrum", "--threads", "0"],
     ])
-    def test_bad_input_is_clean_usage_error(self, tmp_path, argv):
-        src = str(Path(kho.__file__).resolve().parents[1])
-        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-            filter(None, [src, os.environ.get("PYTHONPATH")])))
-        proc = subprocess.run([sys.executable, "-m", "kho.cli", *argv,
-                               "--out", str(tmp_path / "out.csv")],
-                              capture_output=True, text=True, env=env, cwd=tmp_path,
-                              timeout=120)
-        assert proc.returncode == cli.EXIT_USAGE
-        assert "kho: error:" in proc.stderr
-        assert "Traceback" not in proc.stderr
+    def test_bad_input_is_clean_usage_error(self, tmp_path, capsys, argv):
+        # an uncaught exception would propagate here and fail the test
+        try:
+            code = main([*argv, "--out", str(tmp_path / "out.csv")])
+        except SystemExit as exc:
+            code = exc.code
+        assert code == cli.EXIT_USAGE
+        err = capsys.readouterr().err
+        assert "kho: error:" in err
+        assert "Traceback" not in err

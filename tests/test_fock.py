@@ -263,6 +263,9 @@ class TestQuasienergy:
         (2, 5, 8.0, 1.3, 96),
         (3, 4, -0.8, PHI * math.pi, 96),
         (3, 7, -5.0, 2.5, 96),
+        # strong kick: an eigenvalue sits 4e-6 from -1 under the first shift,
+        # so the solve must move -1 into the widest gap and repeat
+        (5, 3, -53.72498222366804, 0.37780315759480493, 200),
     ])
     def test_matches_eig_oracle(self, r, q, kappa, eta_sq, dim):
         p = SystemParams(r=r, q=q, kappa=kappa, eta_sq=eta_sq)
@@ -285,6 +288,24 @@ class TestQuasienergy:
         assert np.all(np.abs(overlaps - ref_overlaps[nearest])[isolated] < 1e-9)
         assert res.max_residual < 1e-10
         assert math.fsum(overlaps) == pytest.approx(1.0, abs=1e-12)
+
+    def test_failed_factorization_turns_shift(self, monkeypatch):
+        factored, cho_factor = [], fock.cho_factor
+
+        def first_fails(a, **kw):
+            factored.append(a - np.eye(len(a)))  # C = Re G
+            if len(factored) == 1:
+                raise np.linalg.LinAlgError("leading minor not positive definite")
+            return cho_factor(a, **kw)
+
+        monkeypatch.setattr(fock, "cho_factor", first_fails)
+        p = params_q4()
+        res = fock.quasienergy_spectrum(p, 64)
+        # the eigenvalue on -1 is turned to +1: G -> -G
+        assert len(factored) == 2
+        assert np.abs(factored[1] + factored[0]).max() < 1e-14
+        ref_phis, _ = quasienergy_eig(p, 64)
+        assert np.abs(np.array([rec.phi for rec in res.records]) - ref_phis).max() < 1e-12
 
     def test_residual_bound_raises(self, monkeypatch):
         monkeypatch.setattr(fock, "EIGEN_RESIDUAL_TOL", 0.0)
