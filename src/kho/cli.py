@@ -189,6 +189,14 @@ def cmd_qfunc(args) -> int:
     return status
 
 
+def _scan_grid(args) -> np.ndarray:
+    """The eta^2 grid of a scan, once both bounds pass as eta^2 values."""
+    bounds = [model.parse_eta2(text) for text in (args.scan_min, args.scan_max)]
+    for eta_sq in bounds:
+        model.SystemParams(r=args.r, q=args.q, kappa=args.kappa, eta_sq=eta_sq)
+    return np.linspace(*bounds, args.scan_points)
+
+
 def _energy_scan_point(payload):
     idx, eta_sq, q, r, kappa, dim, n_max = payload
     params = model.SystemParams(r=r, q=q, kappa=kappa, eta_sq=eta_sq)
@@ -209,9 +217,7 @@ def _map_points(worker, payloads, threads):
 
 
 def cmd_energy_scan(args) -> int:
-    lo = model.parse_eta2(args.scan_min)
-    hi = model.parse_eta2(args.scan_max)
-    grid = np.linspace(lo, hi, args.scan_points)
+    grid = _scan_grid(args)
     payloads = [(i, float(e), args.q, args.r, args.kappa, args.dim, args.kicks)
                 for i, e in enumerate(grid)]
     results = _map_points(_energy_scan_point, payloads, args.threads)
@@ -242,9 +248,7 @@ def _spectrum_point(payload):
 
 
 def cmd_spectrum(args) -> int:
-    lo = model.parse_eta2(args.scan_min)
-    hi = model.parse_eta2(args.scan_max)
-    grid = np.linspace(lo, hi, args.scan_points)
+    grid = _scan_grid(args)
     payloads = [(i, float(e), args.q, args.r, args.kappa, args.dim)
                 for i, e in enumerate(grid)]
     rows = [row for _, point_rows in _map_points(_spectrum_point, payloads, args.threads)

@@ -2,11 +2,22 @@
 Floquet operator construction, state propagation, quasienergy spectra, and
 phase-space observables.
 
-Each kick factor is built by diagonalizing the (Hermitian, tridiagonal)
-quadrature operator eta*(a e^{-i theta} + a^dag e^{i theta}) of its axis and
-exponentiating on its spectrum, so it is exactly unitary regardless of
-truncation.  Nothing is cached between calls: `kick_axis_product`
-diagonalizes each of its q rotated factors in turn.
+Parity.  cos(eta x) is even, so neither the kick nor the free factor couples
+even and odd number states: the kick and F are block diagonal.  `kick_blocks`
+and `floquet` hold them as their even block (rows and columns 0, 2, 4, ...)
+and odd block (1, 3, 5, ...).  The dense matrices (`build_kick`,
+`FloquetMatrix.matrix`, `floquet_power`, `kick_axis_product`) are assembled
+from the blocks, with exact zeros where m + n is odd.  Propagation applies
+each block to its own parity sector and skips a sector without amplitude,
+which stays exactly empty: a ground state only ever meets the even block.
+
+Each kick is built from one diagonalization of the real tridiagonal
+quadrature operator eta (a + a^dag) and exponentiated on its spectrum, so it
+is exactly unitary regardless of truncation.  The kick along the axis
+rotated by theta is the diagonal-phase similarity
+K(theta)[m, n] = e^{i theta (m - n)} K(0)[m, n], so `kick_axis_product` builds
+its kick blocks once and turns them to each of its q axes.  Nothing is
+cached between calls.
 
 Quasienergy spectra use the structure of F = P K, with P the diagonal free
 factor and K = V diag(e^{i zeta cos x}) V^T complex symmetric (V real
@@ -15,8 +26,10 @@ S = P^{1/2} K P^{1/2}.  The real and imaginary parts C, D of
 G = e^{i delta} S commute and satisfy C^2 + D^2 = I, so S has real
 orthonormal eigenvectors O, which are those of the real symmetric Cayley
 transform (I + C)^{-1} D (eigenvalues tan(theta/2) for G's e^{i theta}).
-`quasienergy_spectrum` finds O by Cholesky on I + C and a real `eigh`; the
-ground overlaps are O[0, k]^2 and the phases the Rayleigh quotients O^T S O.
+`quasienergy_spectrum` finds O for each parity block of S by Cholesky on
+I + C and a real `eigh`; the ground overlaps are O[0, k]^2 in the even
+block and exactly 0 in the odd one, and the phases are the Rayleigh
+quotients O^T S O.
 
 Interior-block comparisons between operator identities use a light-cone
 block: only states whose phase-space radius sits more than a fixed buffer
@@ -63,14 +76,20 @@ class FockVector:
 
 @dataclass
 class FloquetMatrix:
-    """Dense one-kick evolution operator with its parameter snapshot."""
+    """One-kick evolution operator as its (even, odd) parity blocks, with
+    its parameter snapshot."""
 
-    matrix: np.ndarray
+    blocks: tuple[np.ndarray, np.ndarray]
     params: SystemParams
 
     @property
     def dim(self) -> int:
-        return self.matrix.shape[0]
+        return sum(block.shape[0] for block in self.blocks)
+
+    @property
+    def matrix(self) -> np.ndarray:
+        """The dense D x D operator, exactly 0 across parity."""
+        return _assemble(self.blocks)
 
 
 @dataclass
@@ -166,44 +185,82 @@ def fidelity(a: FockVector, b: FockVector) -> float:
 # operator construction
 
 
+def _assemble(blocks) -> np.ndarray:
+    """Dense matrix from its (even, odd) parity blocks."""
+    even, odd = blocks
+    dim = even.shape[0] + odd.shape[0]
+    out = np.zeros((dim, dim), dtype=complex)
+    out[0::2, 0::2] = even
+    out[1::2, 1::2] = odd
+    return out
+
+
+def kick_blocks(params: SystemParams, dim: int,
+                strength: int = 1) -> tuple[np.ndarray, np.ndarray]:
+    """(Even, odd) parity blocks of exp(i*zeta*strength*cos[eta*(a + a^dag)]).
+
+    With x, V the spectrum of the quadrature, block s is
+    (V[s::2] e^{i zeta strength cos x}) V[s::2]^T: one real GEMM each for its
+    real and imaginary parts, on a contiguous copy of the rows.
+    """
+    x, vecs = eigh_tridiagonal(np.zeros(dim), params.eta * np.sqrt(np.arange(1, dim)))
+    phases = np.exp(1j * params.zeta * strength * np.cos(x))
+    blocks = []
+    for s in (0, 1):
+        rows = np.ascontiguousarray(vecs[s::2])
+        block = np.empty((rows.shape[0], rows.shape[0]), dtype=complex)
+        block.real = (rows * phases.real) @ rows.T
+        block.imag = (rows * phases.imag) @ rows.T
+        blocks.append(block)
+    return tuple(blocks)
+
+
+def _axis_turn(theta: float, n: np.ndarray) -> np.ndarray:
+    """e^{i theta (m - n)} over the rows m and columns n of the given states."""
+    turn = np.exp(1j * theta * n)
+    return np.outer(turn, turn.conj())
+
+
 def build_kick(params: SystemParams, dim: int, strength: int = 1,
                theta: float = 0.0) -> np.ndarray:
     """Kick factor exp(i*zeta*strength*cos[eta*(a e^{-i theta} + a^dag e^{i theta})]).
 
     theta = 0 gives the plain kick of the Floquet operator; nonzero theta the
-    rotated factors of the q-axis product.  Exactly unitary by spectral
-    construction.
+    rotated factors of the q-axis product, by the similarity
+    K(theta)[m, n] = e^{i theta (m - n)} K(0)[m, n].  Exactly unitary by
+    spectral construction, and exactly 0 where m + n is odd.
     """
-    off = params.eta * np.sqrt(np.arange(1, dim))
-    if theta == 0.0:
-        x, vecs = eigh_tridiagonal(np.zeros(dim), off)
-        phases = np.exp(1j * params.zeta * strength * np.cos(x))
-        return (vecs * phases) @ vecs.T
-    gen = np.zeros((dim, dim), dtype=complex)
-    idx = np.arange(dim - 1)
-    gen[idx, idx + 1] = off * np.exp(-1j * theta)
-    gen[idx + 1, idx] = off * np.exp(1j * theta)
-    x, vecs = np.linalg.eigh(gen)
-    phases = np.exp(1j * params.zeta * strength * np.cos(x))
-    return (vecs * phases) @ vecs.conj().T
+    kick = _assemble(kick_blocks(params, dim, strength))
+    if theta != 0.0:
+        kick *= _axis_turn(theta, np.arange(dim))
+    return kick
+
+
+def _free_phases(params: SystemParams, dim: int) -> np.ndarray:
+    return np.exp(-1j * (np.arange(dim) + 0.5) * params.tau)
 
 
 def build_free(params: SystemParams, dim: int) -> np.ndarray:
     """Free half of the Floquet operator: diag e^{-i(n+1/2) tau}."""
-    n = np.arange(dim)
-    return np.diag(np.exp(-1j * (n + 0.5) * params.tau))
+    return np.diag(_free_phases(params, dim))
 
 
 def floquet(params: SystemParams, dim: int) -> FloquetMatrix:
-    """One-kick Floquet operator F = U_free * U_kick."""
-    return FloquetMatrix(build_free(params, dim) @ build_kick(params, dim), params)
+    """One-kick Floquet operator F = U_free * U_kick: the rows of each kick
+    block scaled by the free phases of its parity."""
+    free = _free_phases(params, dim)
+    blocks = kick_blocks(params, dim)
+    for s, block in enumerate(blocks):
+        block *= free[s::2, None]
+    return FloquetMatrix(blocks, params)
 
 
 def floquet_power(params: SystemParams, dim: int, p: int) -> np.ndarray:
-    """F^p by repeated multiplication."""
+    """F^p by repeated multiplication of each parity block."""
     if p < 0:
         raise ValueError("p must be nonnegative")
-    return np.linalg.matrix_power(floquet(params, dim).matrix, p)
+    return _assemble([np.linalg.matrix_power(block, p)
+                      for block in floquet(params, dim).blocks])
 
 
 def kick_axis_product(params: SystemParams, dim: int, v: int = 1) -> np.ndarray:
@@ -211,14 +268,18 @@ def kick_axis_product(params: SystemParams, dim: int, v: int = 1) -> np.ndarray:
     axes rotated by 2*pi*j*r/q, with kick strength amplified by v.
 
     Includes the global phase (-1)^{r v} from the free evolution over full
-    oscillator periods, which makes the v = 1 case equal F^q exactly.  Each
-    rotated factor is diagonalized independently.
+    oscillator periods, which makes the v = 1 case equal F^q exactly.  The
+    kick blocks are built once; each rotated factor is their similarity.
     """
     q, r = params.q, params.r
-    out = np.eye(dim, dtype=complex) * (-1.0) ** (r * v)
-    for j in range(q - 1, -1, -1):
-        out = out @ build_kick(params, dim, strength=v, theta=j * params.tau)
-    return out
+    blocks = []
+    for s, kick in enumerate(kick_blocks(params, dim, strength=v)):
+        n = np.arange(s, dim, 2)
+        out = np.eye(n.size, dtype=complex) * (-1.0) ** (r * v)
+        for j in range(q - 1, -1, -1):
+            out = out @ (kick * _axis_turn(j * params.tau, n))
+        blocks.append(out)
+    return _assemble(blocks)
 
 
 def amplified_kick_operator(params: SystemParams, dim: int, v: int) -> np.ndarray:
@@ -306,6 +367,48 @@ def symmetry_commutator_norm(params: SystemParams, dim: int, *gens: complex,
 # propagation and observables
 
 
+def _propagate(params: SystemParams, amps: np.ndarray, n_max: int, leak_tol: float,
+               e_target: float = math.inf) -> tuple[np.ndarray, np.ndarray, int | None]:
+    """The kick loop of `evolve` and `kicks_to_energy`: apply F up to n_max
+    times, stopping after the first kick whose mean energy reaches e_target.
+
+    Each parity sector is propagated by its own block of F; a sector with no
+    amplitude stays exactly empty and is skipped.  Returns the final
+    amplitudes, the mean energies before kick 0, 1, ..., and the first kick
+    whose leak exceeds leak_tol (None if none did).
+    """
+    dim = amps.shape[0]
+    tail = dim - dim // 10
+    sectors, psis = [], []  # (parity, block, weights, first tail float), amplitudes
+    for s, block in enumerate(floquet(params, dim).blocks):
+        psi = amps[s::2].astype(complex)
+        if psi.any():
+            # one weight n + 1/2 per float of the (re, im) view of the amplitudes
+            weights = np.repeat(np.arange(s, dim, 2) + 0.5, 2)
+            sectors.append((s, block, weights, 2 * ((tail - s + 1) // 2)))
+            psis.append(psi)
+    energies = np.empty(n_max + 1)
+    first_unsafe = None
+    for k in range(n_max + 1):
+        energy = leak = 0.0
+        for i, (_, block, weights, edge) in enumerate(sectors):
+            if k:
+                psis[i] = block @ psis[i]
+            x = psis[i].view(np.float64)  # |psi_n|^2 = x_2n^2 + x_2n+1^2
+            energy += (x * weights) @ x
+            if first_unsafe is None:
+                leak += x[edge:] @ x[edge:]
+        energies[k] = energy
+        if k and first_unsafe is None and leak > leak_tol:
+            first_unsafe = k
+        if energy >= e_target:
+            break
+    out = np.zeros(dim, dtype=complex)
+    for (s, *_), psi in zip(sectors, psis):
+        out[s::2] = psi
+    return out, energies[:k + 1], first_unsafe
+
+
 def evolve(state: FockVector, params: SystemParams, n_kicks: int,
            leak_tol: float = DEFAULT_LEAK_TOL) -> EvolveResult:
     """Apply F n_kicks times, recording the mean energy at every kick.
@@ -313,20 +416,8 @@ def evolve(state: FockVector, params: SystemParams, n_kicks: int,
     A truncation leak beyond leak_tol flags the run unsafe; evolution
     continues and the flagged result is returned.
     """
-    f = floquet(params, state.dim).matrix
-    psi = state.amps.copy()
-    energies = np.empty(n_kicks + 1)
-    energies[0] = mean_energy(FockVector(psi))
-    first_unsafe = None
-    weights = np.arange(state.dim) + 0.5
-    d = state.dim
-    tail = d - d // 10
-    for k in range(1, n_kicks + 1):
-        psi = f @ psi
-        energies[k] = float(np.sum(np.abs(psi) ** 2 * weights))
-        if first_unsafe is None and float(np.sum(np.abs(psi[tail:]) ** 2)) > leak_tol:
-            first_unsafe = k
-    return EvolveResult(state=FockVector(psi), energies=energies,
+    amps, energies, first_unsafe = _propagate(params, state.amps, n_kicks, leak_tol)
+    return EvolveResult(state=FockVector(amps), energies=energies,
                         truncation_unsafe=first_unsafe is not None,
                         first_unsafe_kick=first_unsafe)
 
@@ -335,25 +426,10 @@ def kicks_to_energy(params: SystemParams, e_target: float, n_max: int,
                     dim: int = 500, leak_tol: float = DEFAULT_LEAK_TOL) -> KicksToEnergyResult:
     """Smallest kick count at which the ground state's mean energy reaches
     e_target (units hbar*omega), or an exhausted result after n_max kicks."""
-    f = floquet(params, dim).matrix
-    psi = ground_state(dim).amps
-    weights = np.arange(dim) + 0.5
-    tail = dim - dim // 10
-    energies = [0.5]
-    first_unsafe = None
-    hit = 0 if 0.5 >= e_target else None
-    for k in range(1, n_max + 1):
-        if hit is not None:
-            break
-        psi = f @ psi
-        e = float(np.sum(np.abs(psi) ** 2 * weights))
-        energies.append(e)
-        if first_unsafe is None and float(np.sum(np.abs(psi[tail:]) ** 2)) > leak_tol:
-            first_unsafe = k
-        if e >= e_target:
-            hit = k
-    return KicksToEnergyResult(n_kicks=hit, reached=hit is not None,
-                               energies=np.array(energies),
+    _, energies, first_unsafe = _propagate(params, ground_state(dim).amps, n_max,
+                                           leak_tol, e_target)
+    hit = energies.size - 1 if energies[-1] >= e_target else None
+    return KicksToEnergyResult(n_kicks=hit, reached=hit is not None, energies=energies,
                                truncation_unsafe=first_unsafe is not None,
                                first_unsafe_kick=first_unsafe)
 
@@ -394,47 +470,58 @@ def q_function(state: FockVector, window: tuple[float, float, float, float],
 
 def quasienergy_spectrum(params: SystemParams, dim: int) -> SpectrumResult:
     """Eigenphases of F with ground-state overlap weights, by the Cayley
-    route of the module docstring.  The first shift puts -1 midway between
-    two free-band centres.  While the residual max ||S o_k - mu_k o_k||
-    exceeds EIGEN_RESIDUAL_TOL, or Cholesky fails, the next shift puts -1
-    midway across the widest gap of the phases found; LinAlgError once
-    _CAYLEY_SHIFTS shifts have failed."""
-    shift = params.tau / 2.0 + math.pi + math.pi / params.q
-    half = np.exp(0.5j * (shift - (np.arange(dim) + 0.5) * params.tau))
-    gmat = build_kick(params, dim)
-    gmat *= np.outer(half, half)  # G = e^{i shift} S
-    for _ in range(_CAYLEY_SHIFTS):
-        try:
-            ipc = cho_factor(np.eye(dim) + gmat.real, overwrite_a=True, check_finite=False)
-            h = cho_solve(ipc, gmat.imag, check_finite=False)
-        except np.linalg.LinAlgError:  # an eigenvalue of G on -1: the gap rule turns G to -G
-            mu, residual = np.array([-1.0 + 0j]), math.inf
+    route of the module docstring on each parity block of S.  The first
+    shift puts -1 midway between two free-band centres.  While a block's
+    residual max ||S o_k - mu_k o_k|| exceeds EIGEN_RESIDUAL_TOL, or Cholesky
+    fails, the next shift puts -1 midway across the widest gap of the phases
+    found; LinAlgError once _CAYLEY_SHIFTS shifts have failed.  Odd-block
+    states have ground overlap exactly 0."""
+    first_shift = params.tau / 2.0 + math.pi + math.pi / params.q
+    half = np.exp(0.5j * (first_shift - (np.arange(dim) + 0.5) * params.tau))
+    phis, overlaps = [], []
+    max_residual = max_defect = 0.0
+    for s, gmat in enumerate(kick_blocks(params, dim)):
+        if gmat.size == 0:
+            continue
+        gmat *= np.outer(half[s::2], half[s::2])  # G = e^{i shift} S on this block
+        shift = first_shift
+        for _ in range(_CAYLEY_SHIFTS):
+            try:
+                ipc = cho_factor(np.eye(len(gmat)) + gmat.real, overwrite_a=True,
+                                 check_finite=False)
+                h = cho_solve(ipc, gmat.imag, check_finite=False)
+            except np.linalg.LinAlgError:  # an eigenvalue of G on -1: the gap rule turns G to -G
+                mu, residual = np.array([-1.0 + 0j]), math.inf
+            else:
+                h += h.T  # 2H, exactly symmetric, same eigenvectors
+                vecs = eigh(h, overwrite_a=True, check_finite=False)[1]
+                del ipc, h  # frees two buffers before the Rayleigh step's peak
+                # row k is (G o_k)^T as G is symmetric; one real GEMM on (Re, Im) columns
+                g_vecs = (vecs.T @ gmat.view(np.float64)).view(complex)
+                mu = np.einsum("kj,jk->k", g_vecs, vecs)
+                g_vecs -= mu[:, None] * vecs.T
+                residual = float(np.linalg.norm(g_vecs, axis=1).max())
+                if residual <= EIGEN_RESIDUAL_TOL:
+                    break
+            theta = np.sort(np.angle(mu))
+            gaps = np.diff(theta, append=theta[0] + 2.0 * math.pi)
+            turn = math.pi - float(theta[np.argmax(gaps)] + gaps.max() / 2.0)
+            gmat *= np.exp(1j * turn)
+            shift += turn
         else:
-            h += h.T  # 2H, exactly symmetric, same eigenvectors
-            vecs = eigh(h, overwrite_a=True, check_finite=False)[1]
-            del ipc, h  # frees two D x D buffers before the Rayleigh step's peak
-            # row k is (G o_k)^T as G is symmetric; one real GEMM on (Re, Im) columns
-            g_vecs = (vecs.T @ gmat.view(np.float64)).view(complex)
-            mu = np.einsum("kj,jk->k", g_vecs, vecs)
-            g_vecs -= mu[:, None] * vecs.T
-            residual = float(np.linalg.norm(g_vecs, axis=1).max())
-            if residual <= EIGEN_RESIDUAL_TOL:
-                break
-        theta = np.sort(np.angle(mu))
-        gaps = np.diff(theta, append=theta[0] + 2.0 * math.pi)
-        turn = math.pi - float(theta[np.argmax(gaps)] + gaps.max() / 2.0)
-        gmat *= np.exp(1j * turn)
-        shift += turn
-    else:
-        raise np.linalg.LinAlgError(
-            f"Cayley eigensolve residual {residual:.3e} at dim={dim}, {params}")
-    phis = np.angle(mu * np.exp(-1j * shift))
+            raise np.linalg.LinAlgError(
+                f"Cayley eigensolve residual {residual:.3e} at dim={dim}, {params}")
+        max_residual = max(max_residual, residual)
+        max_defect = max(max_defect, float(np.abs(np.abs(mu) - 1.0).max()))
+        phis.append(np.angle(mu * np.exp(-1j * shift)))
+        overlaps.append(vecs[0] ** 2 if s == 0 else np.zeros(mu.size))
+    phis, overlaps = np.concatenate(phis), np.concatenate(overlaps)
     phis[phis == -math.pi] = math.pi  # keep phases in (-pi, pi]
-    order = np.argsort(phis)
+    order = np.argsort(phis, kind="stable")
     records = [QuasienergyRecord(float(p), float(o))
-               for p, o in zip(phis[order], vecs[0, order] ** 2)]
-    return SpectrumResult(records, params=params, dim=dim, max_residual=residual,
-                          max_unit_defect=float(np.abs(np.abs(mu) - 1.0).max()))
+               for p, o in zip(phis[order], overlaps[order])]
+    return SpectrumResult(records, params=params, dim=dim, max_residual=max_residual,
+                          max_unit_defect=max_defect)
 
 
 def band_max_gap(result: SpectrumResult, band: str = "uppermost") -> float:

@@ -1,5 +1,6 @@
 import json
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -236,11 +237,16 @@ class TestUsageErrors:
         ["energy-scan", "--scan-points", "0"],
         ["energy-scan", "--threads", "0"],
         ["spectrum", "--threads", "0"],
+        ["spectrum", "--scan-min", "1e308*10"],
+        ["energy-scan", "--scan-max=-pi"],
     ])
     def test_bad_input_is_clean_usage_error(self, tmp_path, capsys, argv):
-        # an uncaught exception would propagate here and fail the test
+        # an uncaught exception, or a numpy warning raised as one, would
+        # propagate here and fail the test
         try:
-            code = main([*argv, "--out", str(tmp_path / "out.csv")])
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                code = main([*argv, "--out", str(tmp_path / "out.csv")])
         except SystemExit as exc:
             code = exc.code
         assert code == cli.EXIT_USAGE

@@ -6,7 +6,8 @@ import pytest
 from kho import fock, model
 from kho.model import SystemParams
 
-from oracles import kick_ground_element, quasienergy_eig
+from oracles import (evolve_dense, floquet_dense, kick_dense, kick_ground_element,
+                     quasienergy_eig)
 
 PHI = model.GOLDEN_RATIO
 
@@ -30,6 +31,12 @@ class TestBuildKick:
         u = fock.build_kick(p, 256)
         oracle = kick_ground_element(p.zeta, p.eta_sq)
         assert abs(u[0, 0] - oracle) < 1e-12
+
+    def test_rotated_kick_matches_dense_oracle(self):
+        p = params_q4()
+        for strength in (1, 3):
+            got = fock.build_kick(p, 120, strength=strength, theta=0.7)
+            assert np.abs(got - kick_dense(p, 120, strength, theta=0.7)).max() < 1e-13
 
     def test_spectral_vs_exact_element_expansion_interior(self):
         p = params_q4()
@@ -97,6 +104,77 @@ class TestFloquet:
             prod = prod @ fock.kick_expansion_matrix(p, dim, theta=j * p.tau)
         diff = fock.floquet_power(p, dim, 4) - prod
         assert fock.interior_max(diff, fock.interior_block(dim)) < 1e-6
+
+
+class TestParity:
+    @staticmethod
+    def cross(dim):
+        m, n = np.indices((dim, dim))
+        return (m + n) % 2 == 1
+
+    @pytest.mark.parametrize("dim", [63, 64])
+    def test_operators_exactly_zero_across_parity(self, dim):
+        p = params_q4(eta_sq=PHI * math.pi)
+        cross = self.cross(dim)
+        for mat in (fock.build_kick(p, dim), fock.build_kick(p, dim, 2, theta=0.7),
+                    fock.floquet(p, dim).matrix, fock.floquet_power(p, dim, 3),
+                    fock.kick_axis_product(p, dim)):
+            assert mat.shape == (dim, dim)
+            assert np.all(mat[cross] == 0.0)
+            assert np.abs(mat[~cross]).max() > 0.1
+
+    @pytest.mark.parametrize("dim", [63, 64])
+    def test_floquet_matches_dense_oracle(self, dim):
+        p = params_q4(eta_sq=PHI * math.pi)
+        assert fock.floquet(p, dim).dim == dim
+        assert np.abs(fock.floquet(p, dim).matrix - floquet_dense(p, dim)).max() < 1e-13
+
+    def test_ground_state_keeps_odd_sector_empty(self):
+        res = fock.evolve(fock.ground_state(129), params_q4(), 60)
+        assert np.all(res.state.amps[1::2] == 0.0)
+        assert abs(res.state.norm() - 1.0) < 1e-12
+
+    @pytest.mark.parametrize("dim", [64, 65])
+    def test_leak_counts_exactly_the_top_tenth(self, dim):
+        # without a kick a number state stays put, so it is flagged iff it
+        # lies in the top tenth of the basis, whichever its parity
+        p = params_q4(kappa=0.0)
+        tail = dim - dim // 10
+        for n in range(dim):
+            amps = np.zeros(dim, dtype=complex)
+            amps[n] = 1.0
+            assert fock.evolve(fock.FockVector(amps), p, 1).truncation_unsafe == (n >= tail)
+
+    @pytest.mark.parametrize("dim,alpha,eta_sq,n_kicks,unsafe", [
+        (256, 0.6 + 0.3j, PHI * math.pi, 30, False),
+        (151, -1.1 + 0.4j, PHI * math.pi, 40, True),  # the leak flag trips mid-run
+        (65, 0.5j, math.pi, 50, True),
+    ])
+    def test_mixed_parity_evolve_matches_dense_oracle(self, dim, alpha, eta_sq, n_kicks, unsafe):
+        p = params_q4(eta_sq=eta_sq)
+        st = fock.coherent_state(alpha, dim)
+        res = fock.evolve(st, p, n_kicks)
+        amps, energies, first_unsafe = evolve_dense(st.amps, p, n_kicks)
+        assert np.abs(res.state.amps - amps).max() < 1e-12
+        assert np.abs(res.energies - energies).max() < 1e-12 * energies.max()
+        assert res.first_unsafe_kick == first_unsafe
+        assert res.truncation_unsafe == unsafe
+
+    def test_kicks_to_energy_matches_dense_oracle(self):
+        # the grid holds an exhausted point, and reached points whose leak
+        # flag trips before and after the crossing
+        dim, target, n_max = 256, 12.0, 36
+        for eta_sq in np.linspace(0.4 * math.pi, 1.6 * math.pi, 5):
+            p = params_q4(eta_sq=float(eta_sq))
+            res = fock.kicks_to_energy(p, target, n_max, dim=dim)
+            _, energies, first_unsafe = evolve_dense(fock.ground_state(dim).amps, p, n_max)
+            want = fock.energy_crossings(energies, [target])[0]
+            assert res.n_kicks == want
+            assert res.energies.size == (n_max if want is None else want) + 1
+            assert np.abs(res.energies - energies[:res.energies.size]).max() < 1e-12 * target
+            stop = res.energies.size - 1
+            assert res.first_unsafe_kick == (
+                first_unsafe if first_unsafe is not None and first_unsafe <= stop else None)
 
 
 class TestAmplified:
@@ -259,6 +337,7 @@ class TestQuasienergy:
         (1, 1, 0.0, math.pi, 48),  # F = -I: every eigenvalue sits on -1
         (1, 3, -0.8, 2 * math.pi / math.sqrt(3), 96),
         (1, 6, 2.5, PHI * math.pi, 96),
+        (1, 4, -0.8, PHI * math.pi, 97),  # odd D: the even block is one larger
         (1, 4, -8.0, math.pi, 128),
         (2, 5, 8.0, 1.3, 96),
         (3, 4, -0.8, PHI * math.pi, 96),
@@ -301,11 +380,25 @@ class TestQuasienergy:
         monkeypatch.setattr(fock, "cho_factor", first_fails)
         p = params_q4()
         res = fock.quasienergy_spectrum(p, 64)
-        # the eigenvalue on -1 is turned to +1: G -> -G
-        assert len(factored) == 2
+        # the even block fails first; its eigenvalue on -1 is turned to +1
+        # (G -> -G), and the odd block then factors once, at the first shift
+        first_shift = p.tau / 2 + math.pi + math.pi / p.q
+        half = np.exp(0.5j * (first_shift - (np.arange(64) + 0.5) * p.tau))
+        c_first = (kick_dense(p, 64) * np.outer(half, half)).real
+        assert [len(c) for c in factored] == [32, 32, 32]
+        assert np.abs(factored[0] - c_first[0::2, 0::2]).max() < 1e-13
         assert np.abs(factored[1] + factored[0]).max() < 1e-14
+        assert np.abs(factored[2] - c_first[1::2, 1::2]).max() < 1e-13
         ref_phis, _ = quasienergy_eig(p, 64)
         assert np.abs(np.array([rec.phi for rec in res.records]) - ref_phis).max() < 1e-12
+
+    @pytest.mark.parametrize("dim", [63, 64])
+    def test_odd_states_have_zero_ground_overlap(self, dim):
+        res = fock.quasienergy_spectrum(params_q4(eta_sq=PHI * math.pi), dim)
+        overlaps = np.array([rec.ground_overlap for rec in res.records])
+        assert len(overlaps) == dim
+        assert np.count_nonzero(overlaps == 0.0) == dim // 2
+        assert math.fsum(overlaps) == pytest.approx(1.0, abs=1e-12)
 
     def test_residual_bound_raises(self, monkeypatch):
         monkeypatch.setattr(fock, "EIGEN_RESIDUAL_TOL", 0.0)

@@ -1,0 +1,75 @@
+"""Input fuzz of the CLI: any eta^2 text and integer-flag text ends in a
+documented exit status, never in an escaping exception or a numpy warning.
+
+Runs `main()` in-process with a tiny basis so each example takes
+milliseconds.  --threads stays at most 1: a larger value starts a process
+pool, which is covered by the thread tests of test_cli.py.
+"""
+
+import contextlib
+import io
+import tempfile
+import warnings
+
+from hypothesis import given, settings, strategies as st
+
+from kho import cli
+
+ETA2_TEXT = st.one_of(
+    st.sampled_from(["pi", "pi/2", "2pi/sqrt3", "phi*pi", "3/2*pi", "sqrt3*pi/2", "pi/0",
+                     "0", "-pi", "nan", "inf", "1e-320", "1e308*10", "1e-300/1e300", "",
+                     "*", "pi//2", "2*", "/3", "pi*pi*pi*pi", "1_0", " PI "]),
+    st.from_regex(r"[-+0-9.e]{0,4}(pi|phi|sqrt3)?([*/][-+0-9.e]{0,4}(pi|phi|sqrt3)?){0,2}",
+                  fullmatch=True),
+    st.text(max_size=8),
+)
+
+
+def int_text(lo, hi):
+    """Integers in [lo, hi] as text, or text that int() takes to at most hi
+    or rejects."""
+    return st.one_of(st.integers(lo, hi).map(str),
+                     st.sampled_from(["", "x", "1.5", "1e3", "0x10", "-0", f"+{hi}", f" {hi} "]))
+
+
+# flag -> (values it is fuzzed with, valid values it takes otherwise)
+INT_FLAGS = {"q": (int_text(-1, 7), ["4", "5", "7"]), "r": (int_text(-1, 4), ["1", "3"]),
+             "dim": (int_text(-2, 6), ["1", "2", "5", "6"]),
+             "kicks": (int_text(-2, 5), ["0", "3"]), "res": (int_text(-1, 4), ["2", "3"]),
+             "scan-points": (int_text(-1, 3), ["1", "2"]), "threads": (int_text(-2, 1), ["1"])}
+VALID_ETA2 = ["pi", "phi*pi", "0.7", "2pi/sqrt3", "3/2*pi"]
+FLAGS = {"evolve": ("q", "r", "dim", "kicks", "eta2"),
+         "qfunc": ("q", "r", "dim", "kicks", "res", "eta2"),
+         "energy-scan": ("q", "r", "dim", "kicks", "scan-points", "threads",
+                         "eta2", "scan-min", "scan-max"),
+         "spectrum": ("q", "r", "dim", "scan-points", "threads", "eta2", "scan-min", "scan-max")}
+
+
+@st.composite
+def argvs(draw):
+    """A subcommand with one or two flags fuzzed and the rest valid."""
+    command = draw(st.sampled_from(sorted(FLAGS)))
+    fuzzed = draw(st.lists(st.sampled_from(FLAGS[command]), min_size=1, max_size=2))
+    argv = [command]
+    for flag in FLAGS[command]:
+        fuzz, valid = INT_FLAGS.get(flag, (ETA2_TEXT, VALID_ETA2))
+        value = draw(fuzz if flag in fuzzed else st.sampled_from(valid))
+        argv.append(f"--{flag}={value}")
+    argv.append(f"--kappa={draw(st.sampled_from(['-0.8', '0', '3', '-1e300', '1e-300']))}")
+    return argv
+
+
+@settings(max_examples=150, deadline=None)
+@given(argvs())
+def test_cli_input_fuzz(argv):
+    with tempfile.TemporaryDirectory() as tmp, warnings.catch_warnings(), \
+            contextlib.redirect_stderr(io.StringIO()) as err, \
+            contextlib.redirect_stdout(io.StringIO()):
+        warnings.simplefilter("error")  # a numpy warning escapes as an exception
+        try:
+            code = cli.main([*argv, f"--out={tmp}/out"])
+        except SystemExit as exc:  # argparse rejects the flag text
+            code = exc.code
+    assert code in (cli.EXIT_OK, cli.EXIT_USAGE, cli.EXIT_TRUNCATION, cli.EXIT_VERIFY), argv
+    if code == cli.EXIT_USAGE:
+        assert "kho: error:" in err.getvalue(), argv
