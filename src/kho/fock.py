@@ -167,7 +167,7 @@ def ground_state(dim: int) -> FockVector:
 
 def coherent_state(alpha: complex, dim: int) -> FockVector:
     """Fock expansion of |alpha>, renormalized over the truncated basis."""
-    amps = specfun.coherent_fock(alpha, dim)
+    amps = np.array(list(specfun.coherent_fock(alpha, dim)))
     return FockVector(amps / np.linalg.norm(amps))
 
 
@@ -447,25 +447,16 @@ def q_function(state: FockVector, window: tuple[float, float, float, float],
                resolution: tuple[int, int]) -> QGrid:
     """Husimi distribution Q(alpha) = |<psi|alpha>|^2 / pi on a grid.
 
-    The coherent overlaps are accumulated by the stable amplitude recurrence
-    c_n = c_{n-1} * alpha / sqrt(n), one sweep over the basis per grid row.
+    The overlaps sum conj(psi_n) c_n(alpha) over the orders that
+    specfun.coherent_fock yields for the whole grid at once.
     """
     re_min, re_max, im_min, im_max = window
     n_re, n_im = resolution
-    re_axis = np.linspace(re_min, re_max, n_re)
-    im_axis = np.linspace(im_min, im_max, n_im)
-    conj_amps = state.amps.conj()
-    values = np.empty((n_im, n_re))
-    inv_sqrt = 1.0 / np.sqrt(np.arange(1, state.dim))
-    for i, y in enumerate(im_axis):
-        alpha = re_axis + 1j * y
-        col = np.exp(-0.5 * np.abs(alpha) ** 2).astype(complex)
-        overlap = conj_amps[0] * col
-        for n in range(1, state.dim):
-            col = col * alpha * inv_sqrt[n - 1]
-            overlap += conj_amps[n] * col
-        values[i] = np.abs(overlap) ** 2 / np.pi
-    return QGrid(re_min, re_max, im_min, im_max, values)
+    alpha = np.linspace(re_min, re_max, n_re) + 1j * np.linspace(im_min, im_max, n_im)[:, None]
+    overlap = np.zeros(alpha.shape, dtype=complex)
+    for amp, c_n in zip(state.amps.conj(), specfun.coherent_fock(alpha, state.dim)):
+        overlap += amp * c_n
+    return QGrid(re_min, re_max, im_min, im_max, np.abs(overlap) ** 2 / np.pi)
 
 
 def quasienergy_spectrum(params: SystemParams, dim: int) -> SpectrumResult:

@@ -225,8 +225,10 @@ def to_fock(state: LatticeState, dim: int,
 
     Each term is a displaced coherent state, reduced with
     D(beta)|alpha_j> = e^{(beta alpha_j^* - beta^* alpha_j)/2} |beta + alpha_j>,
-    and the |gamma> expansions are accumulated by the amplitude recurrence.
-    The output is normalized; raw_norm records the pre-normalization norm.
+    and psi_n sums the prefactors times c_n(beta + alpha_j) from
+    specfun.coherent_fock.  The output is normalized; raw_norm records the
+    pre-normalization norm.  ValueError if it is 0: the basis holds none of
+    the state.
     """
     if not state.coeffs:
         raise ValueError("empty coefficient map")
@@ -241,15 +243,10 @@ def to_fock(state: LatticeState, dim: int,
     betas = 1j * state.eta * (ms + ns * omega)
     pref = vals * np.exp((betas * np.conj(alpha_j) - np.conj(betas) * alpha_j) / 2.0)
     pref *= global_phase
-    gammas = betas + alpha_j
-    # psi_n = sum_i pref_i c_n(gamma_i), via one recurrence sweep
-    psi = np.empty(dim, dtype=complex)
-    col = np.exp(-0.5 * np.abs(gammas) ** 2).astype(complex)
-    psi[0] = pref @ col
-    for n in range(1, dim):
-        col *= gammas / math.sqrt(n)
-        psi[n] = pref @ col
+    psi = np.array([pref @ c_n for c_n in specfun.coherent_fock(betas + alpha_j, dim)])
     raw_norm = float(np.linalg.norm(psi))
+    if raw_norm == 0.0:
+        raise ValueError(f"the first {dim} number states hold none of the lattice state")
     reliable = abs(raw_norm - 1.0) <= unreliable_tol
     return ConversionResult(state=FockVector(psi / raw_norm),
                             raw_norm=raw_norm, reliable=reliable)

@@ -1,17 +1,21 @@
 """Special-function kernel: integer-order Bessel functions, Graf-geometry
-helpers, and displacement-operator matrix elements.
+helpers, displacement-operator matrix elements and coherent-state amplitudes.
 
 Everything here is a pure function of its arguments.  Bessel values are
 produced by Miller's downward recurrence normalized with the even-order sum
 rule, which is stable in the large-order regime the coefficient maps live in
 (orders well past the turning point).  Displacement matrix elements use the
 associated-Laguerre closed form with factorial ratios carried in log space,
-so they remain finite at orders of a few thousand.
+so they remain finite at orders of a few thousand.  Coherent amplitudes
+c_n(alpha) come from one recurrence over n, vectorized over an array of
+alpha and yielded one order at a time; it carries e^{-|alpha|^2/2} as a log
+scale, so nothing underflows where the basis still holds the state.
 """
 
 from __future__ import annotations
 
 import math
+from collections.abc import Iterator
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -235,19 +239,25 @@ def displacement_matrix(alpha: complex, dim: int) -> np.ndarray:
     return out
 
 
-def coherent_fock(alpha: complex, dim: int) -> np.ndarray:
-    """Number-basis amplitudes of the coherent state |alpha>, truncated at dim.
+def coherent_fock(alpha, dim: int) -> Iterator[np.ndarray]:
+    """Yield the coherent amplitudes c_n(alpha) = e^{-|alpha|^2/2} alpha^n / sqrt(n!)
+    for n = 0..dim-1, each shaped like alpha (a complex scalar or array).
 
-    Equivalent to column 0 of displacement_matrix but computed directly in
-    log space: c_n = e^{-|a|^2/2} a^n / sqrt(n!).
+    c_n = c_{n-1} alpha / sqrt(n) runs on the power alpha^n / sqrt(n!), divided
+    by _RESCALE whenever it exceeds it, times a scale factor whose log starts
+    at -|alpha|^2 / 2; neither the seed nor the power under- or overflows.
     """
-    alpha = complex(alpha)
-    out = np.zeros(dim, dtype=complex)
-    if alpha == 0:
-        out[0] = 1.0
-        return out
-    n = np.arange(dim)
-    logmag = -0.5 * abs(alpha) ** 2 + n * math.log(abs(alpha)) - 0.5 * gammaln(n + 1.0)
-    np.exp(logmag, out=logmag)
-    out[:] = logmag * np.exp(1j * n * np.angle(alpha))
-    return out
+    shape = np.shape(alpha)
+    alpha = np.array(alpha, dtype=complex, ndmin=1)
+    power = np.ones_like(alpha)
+    logscale = -0.5 * np.abs(alpha) ** 2
+    scale = np.exp(logscale)
+    for n in range(dim):
+        if n:
+            power *= alpha / math.sqrt(n)
+            big = np.abs(power) > _RESCALE
+            if big.any():
+                power[big] /= _RESCALE
+                logscale[big] += math.log(_RESCALE)
+                scale[big] = np.exp(logscale[big])
+        yield (power * scale).reshape(shape)

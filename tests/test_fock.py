@@ -257,6 +257,13 @@ class TestQFunction:
         assert g.riemann_sum() == pytest.approx(1.0, abs=1e-3)
         assert g.riemann_sum() <= 1.0 + 1e-3
 
+    def test_riemann_normalization_far_from_origin(self):
+        # e^{-|alpha|^2/2} underflows to 0 on most of this grid; the basis
+        # holds the state (top-tenth population 1e-19)
+        st = fock.coherent_state(38.0, 2000)
+        g = fock.q_function(st, (30.0, 46.0, -8.0, 8.0), (161, 161))
+        assert abs(g.riemann_sum() - 1.0) < 1e-6
+
     def test_fourfold_symmetry_after_full_resonant_periods(self):
         # 36 kicks = 9 full periods at q=4 resonance: F^4 commutes with the
         # quarter-turn rotation, so Q inherits the fourfold symmetry

@@ -42,6 +42,16 @@ class TestInit:
         assert conv.reliable
         assert fock.fidelity(conv.state, fock.coherent_state(0.5, 64)) == pytest.approx(1.0, abs=1e-10)
 
+    def test_far_coherent_state_converts(self):
+        # e^{-|alpha|^2/2} underflows to 0 at |alpha| = 40
+        conv = lattice.to_fock(lattice.from_params(40.0, params_q4()), 2400)
+        assert conv.reliable
+        assert fock.fidelity(conv.state, fock.coherent_state(40.0, 2400)) >= 1.0 - 1e-12
+
+    def test_basis_without_the_state_raises(self):
+        with pytest.raises(ValueError, match="hold none"):
+            lattice.to_fock(lattice.from_params(100.0, params_q4()), 16)
+
     def test_q5_rejected(self):
         with pytest.raises(ValueError):
             lattice.init_coherent(0.0, 5, 1.0, 0.18)

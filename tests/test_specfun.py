@@ -6,7 +6,7 @@ from scipy.special import jv
 
 from kho import specfun
 
-from oracles import bessel_series, graf_sum_series
+from oracles import bessel_series, coherent_mp, graf_sum_series
 
 
 def test_bessel_trivial_values():
@@ -168,7 +168,30 @@ def test_displacement_large_order_stability():
 
 def test_coherent_fock_matches_displacement_column():
     a = 1.3 - 0.7j
-    col = specfun.coherent_fock(a, 40)
+    col = np.array(list(specfun.coherent_fock(a, 40)))
     for n in (0, 1, 5, 17):
         assert col[n] == pytest.approx(specfun.displacement_element(n, 0, a), abs=1e-14)
     assert np.linalg.norm(col) == pytest.approx(1.0, abs=1e-12)
+
+
+@pytest.mark.parametrize("alpha", [0.0, 1.3 - 0.7j, 38.0, 45.0 + 10.0j])
+def test_coherent_fock_matches_mpmath(alpha):
+    # the power alpha^n / sqrt(n!) passes _RESCALE below order 2600 for
+    # |alpha| >= 38, so both sides of a rescale are compared; at 38 and above
+    # the seed e^{-|alpha|^2/2} is below the smallest normal double
+    dim = 2600
+    if alpha:
+        log_power = [n * math.log(abs(alpha)) - 0.5 * math.lgamma(n + 1.0) for n in range(dim)]
+        assert (max(log_power) > math.log(specfun._RESCALE)) == (abs(alpha) >= 38.0)
+    got = np.array(list(specfun.coherent_fock(alpha, dim)))
+    want = np.array([coherent_mp(alpha, n) for n in range(dim)])
+    assert np.abs(got - want).max() <= 1e-13 * np.abs(want).max()
+
+
+def test_coherent_fock_yields_the_shape_of_alpha():
+    grid = np.array([[0.3 + 0.1j, -2.0], [0.0, 5.5 - 4.0j]])
+    orders = list(specfun.coherent_fock(grid, 64))
+    assert all(c.shape == grid.shape for c in orders)
+    for idx in np.ndindex(grid.shape):
+        one = np.array(list(specfun.coherent_fock(grid[idx], 64)))
+        assert np.abs(np.array([c[idx] for c in orders]) - one).max() < 1e-15
