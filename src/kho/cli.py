@@ -9,7 +9,9 @@ produce byte-identical files under a fixed BLAS thread setting.
 from __future__ import annotations
 
 import argparse
+import cmath
 import json
+import math
 import os
 import sys
 from concurrent.futures import ProcessPoolExecutor
@@ -43,14 +45,28 @@ def _int_at_least(lo: int):
     return parse
 
 
+def _finite_complex(text: str) -> complex:
+    value = complex(text)
+    if not cmath.isfinite(value):
+        raise argparse.ArgumentTypeError(f"must be finite, got {text}")
+    return value
+
+
+_finite_complex.__name__ = "complex"  # argparse names the type in its invalid-value message
+
+
 def _parse_window(text: str) -> tuple[float, float, float, float]:
     parts = [float(p) for p in text.split(",")]
     if len(parts) == 1:
         r = abs(parts[0])
-        return (-r, r, -r, r)
-    if len(parts) == 4:
-        return tuple(parts)
-    raise argparse.ArgumentTypeError("window must be R or re_min,re_max,im_min,im_max")
+        parts = [-r, r, -r, r]
+    if len(parts) != 4:
+        raise argparse.ArgumentTypeError("window must be R or re_min,re_max,im_min,im_max")
+    if not all(map(math.isfinite, parts)):
+        raise argparse.ArgumentTypeError(f"window bounds must be finite, got {text}")
+    if parts[0] >= parts[1] or parts[2] >= parts[3]:
+        raise argparse.ArgumentTypeError(f"window needs min < max on both axes, got {text}")
+    return tuple(parts)
 
 
 def _parse_res(text: str) -> tuple[int, int]:
@@ -80,14 +96,15 @@ def build_parser() -> argparse.ArgumentParser:
     pe = sub.add_parser("evolve", help="propagate and emit the energy trace")
     _add_system_flags(pe)
     pe.add_argument("--kicks", type=_int_at_least(0), default=108)
-    pe.add_argument("--alpha", type=complex, default=0j, help="initial coherent amplitude")
+    pe.add_argument("--alpha", type=_finite_complex, default=0j,
+                    help="initial coherent amplitude")
     pe.add_argument("--out", default="evolve.csv")
     pe.add_argument("--state-out", default=None, help="optional final-state JSON path")
 
     pq = sub.add_parser("qfunc", help="evolve and sample the Husimi Q function")
     _add_system_flags(pq, eta2_default=None)
     pq.add_argument("--kicks", type=_int_at_least(0), default=None)
-    pq.add_argument("--alpha", type=complex, default=0j)
+    pq.add_argument("--alpha", type=_finite_complex, default=0j)
     pq.add_argument("--window", type=_parse_window, default=_parse_window("16"))
     pq.add_argument("--res", type=_parse_res, default=(101, 101))
     pq.add_argument("--out", default="qfunc_out",
@@ -117,7 +134,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     pv = sub.add_parser("verify", help="run the self-verification suite")
     pv.add_argument("--verify-level", choices=("quick", "full"), default="quick")
-    pv.add_argument("--skew-zeta", type=float, default=0.0, help=argparse.SUPPRESS)
 
     return p
 
@@ -177,14 +193,15 @@ def cmd_qfunc(args) -> int:
         cfg = _config_echo(args, ["q", "r", "kappa", "dim", "alpha"])
         cfg.update(eta2=eta2, kicks=kicks)
         cfg["eta2_value"] = output.fmt(params.eta_sq)
-        extra = [f"riemann_sum={output.fmt(grid.riemann_sum())}"]
+        riemann_sum = grid.riemann_sum()
+        extra = [f"riemann_sum={output.fmt(riemann_sum)}"]
         if result.truncation_unsafe:
             extra.append(f"warning: truncation-unsafe from kick {result.first_unsafe_kick}")
             status = EXIT_TRUNCATION
-        if grid.riemann_sum() < 0.99:
+        if riemann_sum < 0.99:
             extra.append("warning: window too small, probability mass outside grid")
             print(f"kho qfunc: window misses probability mass "
-                  f"(sum={grid.riemann_sum():.3f}) for {path}", file=sys.stderr)
+                  f"(sum={riemann_sum:.3f}) for {path}", file=sys.stderr)
         output.write_qgrid(path, cfg, grid, extra)
     return status
 
@@ -276,7 +293,7 @@ def cmd_resonances(args) -> int:
 
 
 def cmd_verify(args) -> int:
-    checks = verify.run(args.verify_level, zeta_skew=args.skew_zeta)
+    checks = verify.run(args.verify_level)
     for c in checks:
         print(c.line())
     n_fail = sum(not c.passed for c in checks)

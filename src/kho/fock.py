@@ -68,11 +68,6 @@ class FockVector:
     def norm(self) -> float:
         return float(np.linalg.norm(self.amps))
 
-    def leak(self) -> float:
-        """Population in the top tenth of the basis (truncation health)."""
-        d = self.dim
-        return float(np.sum(np.abs(self.amps[d - d // 10:]) ** 2))
-
 
 @dataclass
 class FloquetMatrix:
@@ -136,12 +131,6 @@ class QGrid:
         dim_ = (self.im_max - self.im_min) / (n_im - 1)
         return float(np.sum(self.values) * dre * dim_)
 
-    def second_moment(self) -> float:
-        """Q-weighted mean of |alpha|^2, normalized over the window."""
-        rr, ii = np.meshgrid(self.re_axis, self.im_axis)
-        w = np.sum(self.values)
-        return float(np.sum(self.values * (rr ** 2 + ii ** 2)) / w)
-
 
 @dataclass(frozen=True)
 class QuasienergyRecord:
@@ -166,9 +155,14 @@ def ground_state(dim: int) -> FockVector:
 
 
 def coherent_state(alpha: complex, dim: int) -> FockVector:
-    """Fock expansion of |alpha>, renormalized over the truncated basis."""
+    """Fock expansion of |alpha>, renormalized over the truncated basis.
+    ValueError if every amplitude in the basis underflows to 0."""
     amps = np.array(list(specfun.coherent_fock(alpha, dim)))
-    return FockVector(amps / np.linalg.norm(amps))
+    norm = np.linalg.norm(amps)
+    if norm == 0.0:
+        raise ValueError(f"the first {dim} number states hold none of the coherent "
+                         f"state at alpha={alpha}")
+    return FockVector(amps / norm)
 
 
 def mean_energy(state: FockVector) -> float:

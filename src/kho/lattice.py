@@ -169,7 +169,7 @@ def _q6_parity_check(state: LatticeState) -> int:
     return w_int
 
 
-def q6_triple_sum(zeta_eff: float, m: int, n: int) -> complex:
+def q6_triple_sum(zeta_eff: float, m, n):
     """Coefficient of the resonant q = 6 evolution at a cycle point as the
     triple Bessel sum
 
@@ -177,20 +177,18 @@ def q6_triple_sum(zeta_eff: float, m: int, n: int) -> complex:
 
     all arguments zeta_eff.  The coefficients cannot be reduced below a
     single sum over three Bessel factors; the three-kick cycle advances
-    zeta_eff by one unit of zeta each time.
+    zeta_eff by one unit of zeta each time.  m and n are integers or
+    integer arrays, broadcast against each other.
     """
+    m, n = np.asarray(m)[..., None], np.asarray(n)[..., None]
     kc = specfun.k_cutoff(zeta_eff)
-    total = 0.0 + 0.0j
-    for k in range(-kc, kc + 1):
-        jk = specfun.bessel_j(k, zeta_eff)
-        if jk == 0.0:
-            continue
-        j1 = specfun.bessel_j(n - k, zeta_eff)
-        j2 = specfun.bessel_j(m + n - k, zeta_eff)
-        power = (1j) ** ((k + (n - k) + (m + n - k)) % 4)
-        sign = -1.0 if (m * n + n * n + k * k) % 2 else 1.0
-        total += sign * power * jk * j1 * j2
-    return total
+    k = np.arange(-kc, kc + 1)
+    top = kc + int(np.max(np.abs(m) + np.abs(n)))
+    bessel = specfun.bessel_range(zeta_eff, -top, top)
+    jk, j1, j2 = (bessel[order + top] for order in (k, n - k, m + n - k))
+    power = np.array([1, 1j, -1, -1j])[(m + 2 * n - k) % 4]
+    sign = 1 - 2 * ((m * n + n * n + k * k) % 2)
+    return np.sum(sign * power * jk * j1 * j2, axis=-1)
 
 
 def analytic_q6_cycle(state: LatticeState, eps: float = EPS_LAT) -> LatticeState:
@@ -209,12 +207,12 @@ def analytic_q6_cycle(state: LatticeState, eps: float = EPS_LAT) -> LatticeState
     cycles = state.j // 3
     zeff = state.zeta * (cycles + 1)
     kc = specfun.k_cutoff(zeff)
-    coeffs: dict[tuple[int, int], complex] = {}
-    for m in range(-3 * kc, 3 * kc + 1):
-        for n in range(-2 * kc, 2 * kc + 1):
-            val = q6_triple_sum(zeff, m, n)
-            if abs(val) >= eps:
-                coeffs[(m, n)] = val
+    ms, ns = np.meshgrid(np.arange(-3 * kc, 3 * kc + 1), np.arange(-2 * kc, 2 * kc + 1),
+                         indexing="ij")
+    vals = q6_triple_sum(zeff, ms, ns)
+    keep = np.abs(vals) >= eps
+    coeffs = {(int(m), int(n)): complex(v)
+              for m, n, v in zip(ms[keep], ns[keep], vals[keep])}
     return LatticeState(alpha=state.alpha, j=state.j + 3, q=state.q,
                         eta=state.eta, zeta=state.zeta, coeffs=coeffs)
 

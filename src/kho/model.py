@@ -122,14 +122,6 @@ class ResonanceClass:
         return {"kind": self.kind.value, "a": self.a, "b": self.b, "principal": self.principal}
 
 
-@dataclass(frozen=True)
-class SymmetryLattice:
-    """Two generating displacements of a phase-space symmetry set."""
-
-    q: int
-    generators: tuple[complex, complex]
-
-
 def reduce(p: PhysicalParams, r: int | None = None, q: int | None = None,
            tol: float = DEFAULT_RATIONAL_TOL) -> SystemParams:
     """Map laboratory parameters to the dimensionless (r, q, kappa, eta^2).
@@ -227,7 +219,7 @@ def classify(eta_sq: float, q: int, tol: float = DEFAULT_RATIONAL_TOL,
     return ResonanceClass(kind=ResonanceKind.NONRESONANT, principal=base.principal)
 
 
-def symmetry_generators(q: int, eta: float, which: str = "gamma") -> SymmetryLattice:
+def symmetry_generators(q: int, eta: float, which: str = "gamma") -> tuple[complex, complex]:
     """Generating displacements of the symmetry set:
 
     'gamma' - translations commuting with F^q for every eta (the classical
@@ -250,7 +242,7 @@ def symmetry_generators(q: int, eta: float, which: str = "gamma") -> SymmetryLat
                     (math.sqrt(3.0) - 1j) / 2.0 * eta)
     else:
         raise ValueError("which must be 'gamma' or 'Gamma'")
-    return SymmetryLattice(q=q, generators=gens)
+    return gens
 
 
 def parse_eta2(text: str) -> float:

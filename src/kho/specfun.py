@@ -1,15 +1,15 @@
 """Special-function kernel: integer-order Bessel functions, Graf-geometry
 helpers, displacement-operator matrix elements and coherent-state amplitudes.
 
-Everything here is a pure function of its arguments.  Bessel values are
-produced by Miller's downward recurrence normalized with the even-order sum
-rule, which is stable in the large-order regime the coefficient maps live in
-(orders well past the turning point).  Displacement matrix elements use the
-associated-Laguerre closed form with factorial ratios carried in log space,
-so they remain finite at orders of a few thousand.  Coherent amplitudes
-c_n(alpha) come from one recurrence over n, vectorized over an array of
-alpha and yielded one order at a time; it carries e^{-|alpha|^2/2} as a log
-scale, so nothing underflows where the basis still holds the state.
+Everything here is a pure function of its arguments.  Bessel values come
+from scipy.special.jv, tabulated over orders 0..n per argument and cached;
+negative orders follow from J_{-n}(x) = (-1)^n J_n(x) in bessel_range.
+Displacement matrix elements use the associated-Laguerre closed form with
+factorial ratios carried in log space, so they remain finite at orders of a
+few thousand.  Coherent amplitudes c_n(alpha) come from one recurrence over
+n, vectorized over an array of alpha and yielded one order at a time; it
+carries e^{-|alpha|^2/2} as a log scale, so nothing underflows where the
+basis still holds the state.
 """
 
 from __future__ import annotations
@@ -20,7 +20,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
-from scipy.special import gammaln
+from scipy.special import gammaln, jv
 
 __all__ = [
     "bessel_table",
@@ -29,12 +29,12 @@ __all__ = [
     "GrafGeometry",
     "graf_geometry",
     "graf_sum",
-    "displacement_element",
     "displacement_matrix",
     "coherent_fock",
 ]
 
 _RESCALE = 1e250
+_ALPHA_MAX = np.finfo(float).max / _RESCALE  # |power * alpha| stays finite below it
 
 
 @dataclass(frozen=True)
@@ -48,40 +48,9 @@ class GrafGeometry:
     chi: float
 
 
-def _miller_table(x: float, order_max: int) -> np.ndarray:
-    """J_0(x)..J_order_max(x) by downward recurrence, x > 0."""
-    # Start far enough above both the requested order and the turning point
-    # that the contaminating (Neumann) component has died off.
-    start = max(order_max, int(math.ceil(x))) + 40 + 2 * int(math.sqrt(max(order_max, x) + 1))
-    jp = 0.0  # J_{n+1}, seeded at order start+1
-    j = 1e-300  # J_n, seeded at order start
-    vals_out = np.zeros(order_max + 1)
-    # even-order sum rule accumulator: J_0 + 2*sum_{k>=1} J_2k = 1
-    total = 2.0 * j if start % 2 == 0 else 0.0
-    for n in range(start, 0, -1):
-        jp, j = j, (2.0 * n / x) * j - jp  # j becomes J_{n-1}
-        m = n - 1
-        if abs(j) > _RESCALE:
-            j /= _RESCALE
-            jp /= _RESCALE
-            total /= _RESCALE
-            vals_out[m:] /= _RESCALE
-        if m <= order_max:
-            vals_out[m] = j
-        if m % 2 == 0:
-            total += j if m == 0 else 2.0 * j
-    return vals_out / total
-
-
 @lru_cache(maxsize=512)
 def _cached_table(x: float, order_max: int) -> np.ndarray:
-    if x == 0.0:
-        out = np.zeros(order_max + 1)
-        out[0] = 1.0
-    else:
-        out = _miller_table(abs(x), order_max)
-        if x < 0.0:
-            out[1::2] *= -1.0
+    out = jv(np.arange(order_max + 1), x)
     out.flags.writeable = False
     return out
 
@@ -99,16 +68,9 @@ def bessel_table(x: float, order_max: int) -> np.ndarray:
 
 
 def bessel_j(n: int, x: float) -> float:
-    """Integer-order cylindrical Bessel function J_n(x).
-
-    Negative orders resolve through J_{-n}(x) = (-1)^n J_n(x).
-    """
+    """Integer-order cylindrical Bessel function J_n(x)."""
     n = int(n)
-    table = bessel_table(x, abs(n))
-    val = table[abs(n)]
-    if n < 0 and n % 2 != 0:
-        val = -val
-    return float(val)
+    return float(bessel_range(x, n, n)[0])
 
 
 @lru_cache(maxsize=512)
@@ -118,15 +80,12 @@ def k_cutoff(zeta: float, tol: float = 1e-14) -> int:
     The super-exponential decay past the turning point makes this a uniform
     tail bound: |J_k(zeta)| < tol for every k >= k_cutoff(zeta).
     """
-    if zeta == 0.0:
-        return 1
     guess = int(abs(zeta)) + 60
     table = bessel_table(zeta, guess)
-    below = np.nonzero(np.abs(table) < tol)[0]
-    for k in below:
-        if np.all(np.abs(table[k:]) < tol):
-            return int(k)
-    raise RuntimeError(f"no cutoff below tol={tol} found for zeta={zeta}")
+    kc = int(np.nonzero(np.abs(table) >= tol)[0][-1]) + 1
+    if kc > guess:
+        raise RuntimeError(f"no cutoff below tol={tol} found for zeta={zeta}")
+    return kc
 
 
 def bessel_range(zeta: float, k_lo: int, k_hi: int) -> np.ndarray:
@@ -169,37 +128,6 @@ def graf_sum(n: int, zeta: float, alpha: float, k_max: int | None = None) -> com
     jk = bessel_range(zeta, -k_max, k_max)
     jnk = bessel_range(zeta, n - k_max, n + k_max)
     return complex(np.sum(jnk * jk * np.exp(1j * ks * alpha)))
-
-
-def displacement_element(m: int, n: int, alpha: complex) -> complex:
-    """Exact matrix element <m|D(alpha)|n> of the displacement operator.
-
-    Associated-Laguerre closed form; the recurrence runs over the lower
-    index with periodic rescaling, prefactors in log space.  Stable for
-    |alpha|^2 up to ~1e3 at orders of a few thousand.
-    """
-    if m < 0 or n < 0:
-        raise ValueError("Fock indices must be nonnegative")
-    alpha = complex(alpha)
-    if alpha == 0:
-        return 1.0 + 0.0j if m == n else 0.0 + 0.0j
-    if m < n:
-        # <m|D(a)|n> = conj(<n|D(-a)|m>)
-        return displacement_element(n, m, -alpha).conjugate()
-    d = m - n
-    x = abs(alpha) ** 2
-    # L_k^{(d)}(x), k = 0..n, with running log-scale
-    lk_m1, lk = 0.0, 1.0
-    logscale = 0.0
-    for k in range(1, n + 1):
-        lk_m1, lk = lk, ((2 * k - 1 + d - x) * lk - (k - 1 + d) * lk_m1) / k
-        if abs(lk) > _RESCALE:
-            lk /= _RESCALE
-            lk_m1 /= _RESCALE
-            logscale += math.log(_RESCALE)
-    logpref = 0.5 * (math.lgamma(n + 1) - math.lgamma(m + 1)) + d * math.log(abs(alpha)) - 0.5 * x
-    phase = (alpha / abs(alpha)) ** d
-    return phase * lk * math.exp(logpref + logscale)
 
 
 def displacement_matrix(alpha: complex, dim: int) -> np.ndarray:
@@ -246,9 +174,12 @@ def coherent_fock(alpha, dim: int) -> Iterator[np.ndarray]:
     c_n = c_{n-1} alpha / sqrt(n) runs on the power alpha^n / sqrt(n!), divided
     by _RESCALE whenever it exceeds it, times a scale factor whose log starts
     at -|alpha|^2 / 2; neither the seed nor the power under- or overflows.
+    ValueError unless every |alpha| is below _ALPHA_MAX (about 1.8e58).
     """
     shape = np.shape(alpha)
     alpha = np.array(alpha, dtype=complex, ndmin=1)
+    if not np.all(np.abs(alpha) < _ALPHA_MAX):
+        raise ValueError(f"coherent amplitudes need |alpha| < {_ALPHA_MAX:.2g}")
     power = np.ones_like(alpha)
     logscale = -0.5 * np.abs(alpha) ** 2
     scale = np.exp(logscale)

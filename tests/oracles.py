@@ -1,8 +1,11 @@
 """Independent oracles for the test suite.
 
 These deliberately avoid the library's computation paths: Bessel values come
-from the ascending power series (the implementation uses downward
-recurrence), the lattice one-kick map is evaluated in gather form directly
+from the ascending power series or from mpmath at 40 digits (the
+implementation tabulates scipy.special.jv), displacement matrix elements
+from the associated-Laguerre closed form in mpmath (the implementation runs
+the Laguerre recurrence in double precision, vectorized over offsets), the
+lattice one-kick map is evaluated in gather form directly
 off the recurrence definition (the implementation scatters), kicks come
 from a dense complex eigensolve of the full rotated quadrature (the
 implementation builds parity blocks from one real tridiagonal eigensolve and
@@ -150,3 +153,21 @@ def coherent_mp(alpha: complex, n: int) -> complex:
     with mpmath.workdps(40):
         a = mpmath.mpc(alpha)
         return complex(mpmath.exp(-abs(a) ** 2 / 2) * a ** n / mpmath.sqrt(mpmath.factorial(n)))
+
+
+def bessel_mp(n: int, x: float) -> float:
+    """J_n(x) in 40-digit arithmetic."""
+    with mpmath.workdps(40):
+        return float(mpmath.besselj(n, x))
+
+
+def displacement_mp(m: int, n: int, alpha: complex) -> complex:
+    """<m|D(alpha)|n> in 40-digit arithmetic: for m >= n,
+    sqrt(n!/m!) alpha^{m-n} e^{-|alpha|^2/2} L_n^{(m-n)}(|alpha|^2), and
+    sqrt(m!/n!) (-alpha^*)^{n-m} e^{-|alpha|^2/2} L_m^{(n-m)}(|alpha|^2) otherwise."""
+    with mpmath.workdps(40):
+        a = mpmath.mpc(alpha)
+        low, d, w = (n, m - n, a) if m >= n else (m, n - m, -mpmath.conj(a))
+        x = abs(a) ** 2
+        return complex(mpmath.sqrt(mpmath.factorial(low) / mpmath.factorial(low + d)) * w ** d
+                       * mpmath.exp(-x / 2) * mpmath.laguerre(low, d, x))

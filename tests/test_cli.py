@@ -5,7 +5,7 @@ import warnings
 import numpy as np
 import pytest
 
-from kho import cli, fock, model, output
+from kho import cli, fock, lattice, model, output
 from kho.cli import main
 
 
@@ -200,9 +200,12 @@ class TestVerify:
         assert "FAIL" not in out
         assert "checks passed" in out
 
-    def test_skewed_zeta_fails_cross_representation(self, capsys):
-        assert main(["verify", "--verify-level", "quick",
-                     "--skew-zeta", "0.05"]) == cli.EXIT_VERIFY
+    def test_skewed_zeta_fails_cross_representation(self, capsys, monkeypatch):
+        # a lattice route 5% off in zeta must fail the fidelity check
+        init = lattice.init_coherent
+        monkeypatch.setattr(lattice, "init_coherent",
+                            lambda alpha, q, eta, zeta: init(alpha, q, eta, 1.05 * zeta))
+        assert main(["verify", "--verify-level", "quick"]) == cli.EXIT_VERIFY
         out = capsys.readouterr().out
         assert any("FAIL" in ln and "fidelity" in ln for ln in out.splitlines())
 
@@ -239,6 +242,15 @@ class TestUsageErrors:
         ["spectrum", "--threads", "0"],
         ["spectrum", "--scan-min", "1e308*10"],
         ["energy-scan", "--scan-max=-pi"],
+        ["evolve", "--alpha", "nan"],
+        ["evolve", "--alpha", "inf+1j"],
+        ["qfunc", "--eta2", "pi", "--alpha", "nanj"],
+        ["qfunc", "--eta2", "pi", "--window", "nan"],
+        ["qfunc", "--eta2", "pi", "--window", "1,2,inf,3"],
+        ["qfunc", "--eta2", "pi", "--window", "3,1,0,2"],
+        ["qfunc", "--eta2", "pi", "--window", "0"],
+        ["evolve", "--alpha", "50", "--dim", "6"],
+        ["qfunc", "--eta2", "pi", "--dim", "6", "--window", "1e100"],
     ])
     def test_bad_input_is_clean_usage_error(self, tmp_path, capsys, argv):
         # an uncaught exception, or a numpy warning raised as one, would

@@ -419,20 +419,20 @@ class TestSymmetryCommutator:
 
     def test_gamma_generator_commutes(self):
         p = params_q4()
-        gen = model.symmetry_generators(4, p.eta, "gamma").generators[0]
+        gen = model.symmetry_generators(4, p.eta, "gamma")[0]
         assert fock.symmetry_commutator_norm(p, 256, gen) < 1e-6
 
     def test_offresonant_gamma_still_commutes(self):
         p = params_q4(eta_sq=PHI * math.pi)
-        gen = model.symmetry_generators(4, p.eta, "gamma").generators[0]
+        gen = model.symmetry_generators(4, p.eta, "gamma")[0]
         assert fock.symmetry_commutator_norm(p, 256, gen) < 1e-6
 
     def test_gamma_set_is_eta_independent_but_Gamma_not(self):
         # a Gamma generator off resonance is not a symmetry: the commutator
         # norm is orders of magnitude above the gamma one
         p = params_q4(eta_sq=PHI * math.pi)
-        gamma = model.symmetry_generators(4, p.eta, "gamma").generators[0]
-        Gamma = model.symmetry_generators(4, p.eta, "Gamma").generators[0]
+        gamma = model.symmetry_generators(4, p.eta, "gamma")[0]
+        Gamma = model.symmetry_generators(4, p.eta, "Gamma")[0]
         c_gamma = fock.symmetry_commutator_norm(p, 256, gamma)
         c_Gamma = fock.symmetry_commutator_norm(p, 256, Gamma)
         assert c_Gamma > 1e4 * c_gamma
@@ -462,6 +462,11 @@ class TestHelpers:
         assert res.converged and res.dim == 1024
         assert calls == [256, 512, 1024, 2048]
         assert not fock.doubling_rule(obs, start=256, max_dim=512).converged
+
+    def test_coherent_state_outside_the_basis_raises(self):
+        # e^{-|alpha|^2/2} |alpha|^n / sqrt(n!) underflows to 0 for every n < 6
+        with pytest.raises(ValueError, match="hold none"):
+            fock.coherent_state(50.0, 6)
 
     def test_fidelity(self):
         a = fock.coherent_state(0.5, 64)

@@ -7,7 +7,7 @@ import pytest
 from kho import fock, lattice, model, specfun
 from kho.model import SystemParams
 
-from oracles import gather_step
+from oracles import bessel_series, gather_step
 
 PHI = model.GOLDEN_RATIO
 
@@ -199,6 +199,20 @@ class TestQ6Cycle:
                    * cmath.exp(-1j * k * k * math.pi)
                    for k in range(-kc, kc + 1))
         assert lattice.q6_triple_sum(z, 0, 0) == pytest.approx(want, abs=1e-15)
+
+    def test_triple_sum_broadcasts_like_scalar_calls(self):
+        z = 2 * params_q6().zeta
+        ms, ns = np.arange(-9, 10)[:, None], np.arange(-7, 8)
+        grid = lattice.q6_triple_sum(z, ms, ns)
+        assert grid.shape == (19, 15)
+        kc = specfun.k_cutoff(z)
+        for i, m in enumerate(ms[:, 0]):
+            for j, n in enumerate(ns):
+                assert abs(grid[i, j] - lattice.q6_triple_sum(z, int(m), int(n))) < 1e-16
+                loop = sum((1j) ** ((m + 2 * n - k) % 4) * (-1) ** ((m * n + n * n + k * k) % 2)
+                           * bessel_series(k, z) * bessel_series(n - k, z)
+                           * bessel_series(m + n - k, z) for k in range(-kc, kc + 1))
+                assert abs(grid[i, j] - loop) < 1e-15
 
     def test_kick3_state_is_triple_sum(self):
         p = params_q6()

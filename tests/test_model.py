@@ -175,20 +175,20 @@ class TestClassify:
 class TestSymmetryGenerators:
     def test_gamma_equals_Gamma_at_principal(self):
         eta = math.sqrt(math.pi)
-        gam = symmetry_generators(4, eta, "gamma").generators
-        Gam = symmetry_generators(4, eta, "Gamma").generators
+        gam = symmetry_generators(4, eta, "gamma")
+        Gam = symmetry_generators(4, eta, "Gamma")
         assert gam[0] == pytest.approx(Gam[0]) and gam[1] == pytest.approx(Gam[1])
         assert gam[0] == pytest.approx(math.sqrt(math.pi))
 
     def test_q4_gamma_values(self):
         eta = 1.7
-        gens = symmetry_generators(4, eta, "gamma").generators
+        gens = symmetry_generators(4, eta, "gamma")
         assert gens[0] == pytest.approx(math.pi / eta)
         assert gens[1] == pytest.approx(1j * math.pi / eta)
 
     def test_q6_Gamma_values(self):
         eta = 1.3
-        gens = symmetry_generators(6, eta, "Gamma").generators
+        gens = symmetry_generators(6, eta, "Gamma")
         assert gens[0] == pytest.approx((math.sqrt(3) + 1j) / 2 * eta)
         assert gens[1] == pytest.approx((math.sqrt(3) - 1j) / 2 * eta)
 

@@ -2,11 +2,11 @@ import math
 
 import numpy as np
 import pytest
-from scipy.special import jv
 
 from kho import specfun
 
-from oracles import bessel_series, coherent_mp, graf_sum_series
+from oracles import (bessel_mp, bessel_series, coherent_mp, displacement_mp,
+                     graf_sum_series)
 
 
 def test_bessel_trivial_values():
@@ -30,14 +30,16 @@ def test_bessel_against_series_oracle():
                 assert got == pytest.approx(ref, rel=1e-12, abs=1e-14)
 
 
-def test_bessel_against_scipy():
-    for x in (0.5, 1.0, 3.3, 12.7, 40.0):
-        n_top = int(x) + 50
-        table = specfun.bessel_table(x, n_top)
-        ref = jv(np.arange(n_top + 1), x)
-        mask = np.abs(ref) > 1e-250
-        assert np.max(np.abs(table[mask] - ref[mask]) / np.abs(ref[mask])) < 1e-11
-        assert np.max(np.abs(table - ref)) < 1e-14
+def test_bessel_against_mpmath():
+    # |x| <= 12 covers every argument the library passes; orders reach
+    # +-(|x| + 80), far past the turning point on both sides
+    for xs, tol in (((0.18, 0.5, 1.0, 2.0, 3.3, 7.3, 12.0, -3.1, -12.0), 5e-16),
+                    ((12.7, 25.0, 40.0, 60.0, -60.0), 4e-15)):
+        for x in xs:
+            top = int(abs(x)) + 80
+            got = specfun.bessel_range(x, -top, top)
+            want = np.array([bessel_mp(k, x) for k in range(-top, top + 1)])
+            assert np.abs(got - want).max() <= tol, x
 
 
 def test_bessel_normalization_identity():
@@ -58,6 +60,15 @@ def test_bessel_rejects_nonfinite():
         specfun.bessel_j(1, float("nan"))
     with pytest.raises(ValueError):
         specfun.bessel_j(0, float("inf"))
+
+
+@pytest.mark.parametrize("tol", [1e-14, 1e-15])
+def test_k_cutoff_matches_its_definition(tol):
+    # the smallest k past which every |J_k(zeta)| is below tol
+    for zeta in (0.0, 0.18, 0.5, 2.2, 5.0, -3.3, 12.0, 40.0):
+        tail = np.abs([bessel_mp(k, zeta) for k in range(int(abs(zeta)) + 100)])
+        want = max(k for k in range(len(tail)) if tail[k] >= tol) + 1
+        assert specfun.k_cutoff(zeta, tol) == want
 
 
 def test_k_cutoff_bounds_tail():
@@ -127,10 +138,11 @@ def test_graf_closure_property():
 
 def test_displacement_trivial_elements():
     a = 0.8 - 0.25j
-    assert specfun.displacement_element(0, 0, a) == pytest.approx(math.exp(-abs(a) ** 2 / 2))
-    assert specfun.displacement_element(1, 0, a) == pytest.approx(a * math.exp(-abs(a) ** 2 / 2))
-    assert specfun.displacement_element(4, 4, 0.0) == 1.0
-    assert specfun.displacement_element(2, 5, 0.0) == 0.0
+    mat = specfun.displacement_matrix(a, 6)
+    assert mat[0, 0] == pytest.approx(math.exp(-abs(a) ** 2 / 2))
+    assert mat[1, 0] == pytest.approx(a * math.exp(-abs(a) ** 2 / 2))
+    assert mat[0, 1] == pytest.approx(-np.conj(a) * math.exp(-abs(a) ** 2 / 2))
+    assert np.array_equal(specfun.displacement_matrix(0.0, 6), np.eye(6))
 
 
 def test_displacement_matrix_matches_elements():
@@ -138,7 +150,7 @@ def test_displacement_matrix_matches_elements():
     mat = specfun.displacement_matrix(a, 24)
     for m in range(0, 24, 5):
         for n in range(0, 24, 7):
-            assert mat[m, n] == pytest.approx(specfun.displacement_element(m, n, a), abs=1e-14)
+            assert mat[m, n] == pytest.approx(displacement_mp(m, n, a), abs=1e-14)
 
 
 def test_displacement_unitarity_interior():
@@ -160,17 +172,19 @@ def test_displacement_composition_identity():
 
 
 def test_displacement_large_order_stability():
-    # |alpha|^2 ~ 1e3 at orders ~2000 must stay finite and bounded by 1
-    val = specfun.displacement_element(2000, 1980, 31.0 + 5.0j)
-    assert np.isfinite(val)
-    assert abs(val) <= 1.0
+    # |alpha|^2 ~ 1e3 at orders ~2000 must stay finite, bounded by 1 and exact
+    a = 31.0 + 5.0j
+    mat = specfun.displacement_matrix(a, 2001)
+    assert np.isfinite(mat).all()
+    assert np.abs(mat).max() <= 1.0
+    for m, n in ((2000, 1980), (1980, 2000), (1030, 1000), (700, 1500)):
+        assert abs(mat[m, n] - displacement_mp(m, n, a)) < 1e-13
 
 
 def test_coherent_fock_matches_displacement_column():
     a = 1.3 - 0.7j
     col = np.array(list(specfun.coherent_fock(a, 40)))
-    for n in (0, 1, 5, 17):
-        assert col[n] == pytest.approx(specfun.displacement_element(n, 0, a), abs=1e-14)
+    assert np.abs(col - specfun.displacement_matrix(a, 40)[:, 0]).max() < 1e-14
     assert np.linalg.norm(col) == pytest.approx(1.0, abs=1e-12)
 
 
@@ -186,6 +200,14 @@ def test_coherent_fock_matches_mpmath(alpha):
     got = np.array(list(specfun.coherent_fock(alpha, dim)))
     want = np.array([coherent_mp(alpha, n) for n in range(dim)])
     assert np.abs(got - want).max() <= 1e-13 * np.abs(want).max()
+
+
+@pytest.mark.parametrize("alpha", [2e58, 1e100j, float("nan"), complex("inf+1j")])
+def test_coherent_fock_rejects_alpha_past_its_domain(alpha):
+    # past _ALPHA_MAX the power alpha^n / sqrt(n!) can overflow before its rescale
+    assert not abs(alpha) < specfun._ALPHA_MAX
+    with pytest.raises(ValueError):
+        list(specfun.coherent_fock(np.array([0.5, alpha]), 8))
 
 
 def test_coherent_fock_yields_the_shape_of_alpha():
