@@ -1,8 +1,20 @@
 """Quantum delta-kicked harmonic oscillator: Fock-basis and phase-space
 lattice propagation, quantum-resonance classification, and spectral
-observables."""
+observables.
 
-from . import fock, lattice, model, output, specfun, verify
+Importing kho pins OpenBLAS to one thread unless OPENBLAS_NUM_THREADS is
+already set.  The kernels are D/2 x D/2 parity blocks, too small to gain from
+a second BLAS thread, and `--threads` pool workers fork from a process with
+the same setting, so output bytes do not depend on the core count.  The
+first submodule import below is also numpy's first import on the CLI path;
+a program that imports numpy before kho keeps numpy's thread setting.
+"""
+
+import os
+
+os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
+
+from . import fock, lattice, model, output, specfun, verify  # noqa: E402
 
 __all__ = ["fock", "lattice", "model", "output", "specfun", "verify"]
 __version__ = "0.1.0"

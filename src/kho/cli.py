@@ -3,7 +3,8 @@
 Subcommands: evolve, qfunc, energy-scan, spectrum, resonances, verify.
 Exit status: 0 success, 1 usage error, 2 truncation-unsafe result,
 3 verification failure.  All outputs are deterministic: the same flags
-produce byte-identical files under a fixed BLAS thread setting.
+produce byte-identical files under a fixed BLAS thread setting, which is one
+OpenBLAS thread unless OPENBLAS_NUM_THREADS says otherwise (see kho/__init__).
 """
 
 from __future__ import annotations
@@ -66,6 +67,8 @@ def _parse_window(text: str) -> tuple[float, float, float, float]:
         raise argparse.ArgumentTypeError(f"window bounds must be finite, got {text}")
     if parts[0] >= parts[1] or parts[2] >= parts[3]:
         raise argparse.ArgumentTypeError(f"window needs min < max on both axes, got {text}")
+    if not (math.isfinite(parts[1] - parts[0]) and math.isfinite(parts[3] - parts[2])):
+        raise argparse.ArgumentTypeError(f"window width must be finite on both axes, got {text}")
     return tuple(parts)
 
 
@@ -202,6 +205,10 @@ def cmd_qfunc(args) -> int:
             extra.append("warning: window too small, probability mass outside grid")
             print(f"kho qfunc: window misses probability mass "
                   f"(sum={riemann_sum:.3f}) for {path}", file=sys.stderr)
+        elif riemann_sum > 1.01:
+            extra.append("warning: grid coarser than Q, Riemann sum overestimates the mass")
+            print(f"kho qfunc: grid too coarse to resolve Q "
+                  f"(sum={riemann_sum:.3g}) for {path}", file=sys.stderr)
         output.write_qgrid(path, cfg, grid, extra)
     return status
 

@@ -8,8 +8,9 @@ and `floquet` hold them as their even block (rows and columns 0, 2, 4, ...)
 and odd block (1, 3, 5, ...).  The dense matrices (`build_kick`,
 `FloquetMatrix.matrix`, `floquet_power`, `kick_axis_product`) are assembled
 from the blocks, with exact zeros where m + n is odd.  Propagation applies
-each block to its own parity sector and skips a sector without amplitude,
-which stays exactly empty: a ground state only ever meets the even block.
+each block to its own parity sector and neither builds nor applies the block
+of a sector without amplitude, which stays exactly empty: a ground state
+only ever meets the even block.
 
 Each kick is built from one diagonalization of the real tridiagonal
 quadrature operator eta (a + a^dag) and exponentiated on its spectrum, so it
@@ -189,9 +190,10 @@ def _assemble(blocks) -> np.ndarray:
     return out
 
 
-def kick_blocks(params: SystemParams, dim: int,
-                strength: int = 1) -> tuple[np.ndarray, np.ndarray]:
-    """(Even, odd) parity blocks of exp(i*zeta*strength*cos[eta*(a + a^dag)]).
+def kick_blocks(params: SystemParams, dim: int, strength: int = 1,
+                parities: tuple[int, ...] = (0, 1)) -> tuple[np.ndarray, ...]:
+    """Parity blocks of exp(i*zeta*strength*cos[eta*(a + a^dag)]), one for
+    each of `parities` (0 even, 1 odd): (even, odd) by default.
 
     With x, V the spectrum of the quadrature, block s is
     (V[s::2] e^{i zeta strength cos x}) V[s::2]^T: one real GEMM each for its
@@ -200,7 +202,7 @@ def kick_blocks(params: SystemParams, dim: int,
     x, vecs = eigh_tridiagonal(np.zeros(dim), params.eta * np.sqrt(np.arange(1, dim)))
     phases = np.exp(1j * params.zeta * strength * np.cos(x))
     blocks = []
-    for s in (0, 1):
+    for s in parities:
         rows = np.ascontiguousarray(vecs[s::2])
         block = np.empty((rows.shape[0], rows.shape[0]), dtype=complex)
         block.real = (rows * phases.real) @ rows.T
@@ -239,14 +241,20 @@ def build_free(params: SystemParams, dim: int) -> np.ndarray:
     return np.diag(_free_phases(params, dim))
 
 
-def floquet(params: SystemParams, dim: int) -> FloquetMatrix:
-    """One-kick Floquet operator F = U_free * U_kick: the rows of each kick
+def _floquet_blocks(params: SystemParams, dim: int,
+                    parities: tuple[int, ...] = (0, 1)) -> tuple[np.ndarray, ...]:
+    """The parity blocks of F named by `parities`: the rows of each kick
     block scaled by the free phases of its parity."""
     free = _free_phases(params, dim)
-    blocks = kick_blocks(params, dim)
-    for s, block in enumerate(blocks):
+    blocks = kick_blocks(params, dim, parities=parities)
+    for s, block in zip(parities, blocks):
         block *= free[s::2, None]
-    return FloquetMatrix(blocks, params)
+    return blocks
+
+
+def floquet(params: SystemParams, dim: int) -> FloquetMatrix:
+    """One-kick Floquet operator F = U_free * U_kick, as its parity blocks."""
+    return FloquetMatrix(_floquet_blocks(params, dim), params)
 
 
 def floquet_power(params: SystemParams, dim: int, p: int) -> np.ndarray:
@@ -367,20 +375,21 @@ def _propagate(params: SystemParams, amps: np.ndarray, n_max: int, leak_tol: flo
     times, stopping after the first kick whose mean energy reaches e_target.
 
     Each parity sector is propagated by its own block of F; a sector with no
-    amplitude stays exactly empty and is skipped.  Returns the final
-    amplitudes, the mean energies before kick 0, 1, ..., and the first kick
-    whose leak exceeds leak_tol (None if none did).
+    amplitude stays exactly empty, and its block is neither built nor
+    applied.  The leak is the weight on the top tenth of the basis, and on
+    the top state at least.  Returns the final amplitudes, the mean
+    energies before kick 0, 1, ..., and the first kick whose leak exceeds
+    leak_tol (None if none did).
     """
     dim = amps.shape[0]
-    tail = dim - dim // 10
+    tail = dim - max(dim // 10, 1)
+    parities = tuple(s for s in (0, 1) if amps[s::2].any())
     sectors, psis = [], []  # (parity, block, weights, first tail float), amplitudes
-    for s, block in enumerate(floquet(params, dim).blocks):
-        psi = amps[s::2].astype(complex)
-        if psi.any():
-            # one weight n + 1/2 per float of the (re, im) view of the amplitudes
-            weights = np.repeat(np.arange(s, dim, 2) + 0.5, 2)
-            sectors.append((s, block, weights, 2 * ((tail - s + 1) // 2)))
-            psis.append(psi)
+    for s, block in zip(parities, _floquet_blocks(params, dim, parities)):
+        # one weight n + 1/2 per float of the (re, im) view of the amplitudes
+        weights = np.repeat(np.arange(s, dim, 2) + 0.5, 2)
+        sectors.append((s, block, weights, 2 * ((tail - s + 1) // 2)))
+        psis.append(amps[s::2].astype(complex))
     energies = np.empty(n_max + 1)
     first_unsafe = None
     for k in range(n_max + 1):

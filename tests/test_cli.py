@@ -1,10 +1,14 @@
 import json
 import math
+import os
+import subprocess
+import sys
 import warnings
 
 import numpy as np
 import pytest
 
+import kho
 from kho import cli, fock, lattice, model, output
 from kho.cli import main
 
@@ -52,6 +56,15 @@ class TestEvolve:
         assert state.dim == 96
         assert state.norm() == pytest.approx(1.0, abs=1e-10)
 
+    def test_top_state_counts_in_a_basis_below_ten(self, tmp_path, capsys):
+        # |alpha|^2 = 400 puts most of the renormalized state on n = 5 of 6
+        out = tmp_path / "trace.csv"
+        code = main(["evolve", "--dim", "6", "--kicks", "2", "--alpha", "20",
+                     "--out", str(out)])
+        assert code == cli.EXIT_TRUNCATION
+        assert "truncation-unsafe from kick 1" in capsys.readouterr().err
+        assert any("truncation-unsafe" in ln for ln in read_lines(out))
+
     def test_header_echoes_config(self, tmp_path):
         out = tmp_path / "t.csv"
         main(["evolve", "--kicks", "1", "--dim", "64", "--eta2", "pi/2", "--out", str(out)])
@@ -82,6 +95,17 @@ class TestQfunc:
         assert code == 0
         assert "window" in capsys.readouterr().err
         assert any("window too small" in ln for ln in read_lines(out))
+
+    def test_coarse_grid_warns(self, tmp_path, capsys):
+        # grid spacing far above the width of Q: the Riemann sum overshoots 1
+        out = tmp_path / "q.csv"
+        code = main(["qfunc", "--eta2", "pi", "--dim", "6", "--kicks", "2", "--res", "3",
+                     "--window", "1e57", "--out", str(out)])
+        assert code == 0
+        assert "too coarse" in capsys.readouterr().err
+        head = [ln for ln in read_lines(out) if ln.startswith("#")]
+        assert any("riemann_sum=3.1" in ln and "e+113" in ln for ln in head)
+        assert any("warning: grid coarser than Q" in ln for ln in head)
 
     def test_resonant_panel_spreads_wider(self, tmp_path):
         """Second moment of the emitted resonant grid exceeds twice the
@@ -173,6 +197,29 @@ class TestSpectrum:
         assert len(data_rows(a)) == 1 + 3 * 48
 
 
+class TestBlasThreads:
+    def test_spectrum_bytes_do_not_depend_on_blas_threads(self, tmp_path):
+        """kho pins OpenBLAS to one thread when OPENBLAS_NUM_THREADS is unset,
+        so a default run, a pinned run and a forked pool give the same bytes
+        at D=500, where one and two BLAS threads would differ."""
+        env = dict(os.environ)
+        env.pop("OPENBLAS_NUM_THREADS", None)  # importing kho set it in this process
+        src = os.path.dirname(os.path.dirname(kho.__file__))
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+        argv = [sys.executable, "-m", "kho.cli", "spectrum", "--dim", "500",
+                "--scan-points", "2"]
+        runs = {"default": (env, []), "pinned": (dict(env, OPENBLAS_NUM_THREADS="1"), []),
+                "pool": (env, ["--threads", "2"])}
+        outputs = {}
+        for name, (run_env, extra) in runs.items():
+            out = tmp_path / f"{name}.csv"
+            subprocess.run(argv + extra + ["--out", str(out)], env=run_env, check=True,
+                           capture_output=True)
+            outputs[name] = out.read_bytes()
+        assert outputs["default"] == outputs["pinned"]
+        assert outputs["pool"] == outputs["default"]
+
+
 class TestResonances:
     def test_table_contents(self, tmp_path):
         out = tmp_path / "res.json"
@@ -251,6 +298,9 @@ class TestUsageErrors:
         ["qfunc", "--eta2", "pi", "--window", "0"],
         ["evolve", "--alpha", "50", "--dim", "6"],
         ["qfunc", "--eta2", "pi", "--dim", "6", "--window", "1e100"],
+        ["qfunc", "--dim", "1", "--kicks", "0", "--res", "2", "--window", "1e308",
+         "--eta2", "pi"],
+        ["qfunc", "--eta2", "pi", "--window", "-1.5e308,1.5e308,-1,1"],
     ])
     def test_bad_input_is_clean_usage_error(self, tmp_path, capsys, argv):
         # an uncaught exception, or a numpy warning raised as one, would

@@ -134,12 +134,13 @@ class TestParity:
         assert np.all(res.state.amps[1::2] == 0.0)
         assert abs(res.state.norm() - 1.0) < 1e-12
 
-    @pytest.mark.parametrize("dim", [64, 65])
+    @pytest.mark.parametrize("dim", [64, 65, 1, 6, 9, 10])
     def test_leak_counts_exactly_the_top_tenth(self, dim):
         # without a kick a number state stays put, so it is flagged iff it
-        # lies in the top tenth of the basis, whichever its parity
+        # lies in the top tenth of the basis, or is the top state of a basis
+        # of fewer than ten, whichever its parity
         p = params_q4(kappa=0.0)
-        tail = dim - dim // 10
+        tail = dim - max(dim // 10, 1)
         for n in range(dim):
             amps = np.zeros(dim, dtype=complex)
             amps[n] = 1.0

@@ -15,7 +15,7 @@ import os
 import tempfile
 import warnings
 
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from kho import cli
 
@@ -105,6 +105,8 @@ def assert_finite_csv(path, argv):
 
 @settings(max_examples=300, deadline=None)
 @given(argvs())
+@example(["qfunc", "--q=4", "--r=1", "--dim=1", "--kicks=0", "--res=2", "--alpha=0",
+          "--window=1e308", "--eta2=pi", "--kappa=-0.8"])  # linspace width overflowed
 def test_cli_input_fuzz(argv):
     with tempfile.TemporaryDirectory() as tmp, warnings.catch_warnings(), \
             contextlib.redirect_stderr(io.StringIO()) as err, \
