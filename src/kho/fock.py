@@ -4,13 +4,13 @@ phase-space observables.
 
 Parity.  cos(eta x) is even, so neither the kick nor the free factor couples
 even and odd number states: the kick and F are block diagonal.  `kick_blocks`
-and `floquet` hold them as their even block (rows and columns 0, 2, 4, ...)
-and odd block (1, 3, 5, ...).  The dense matrices (`build_kick`,
-`FloquetMatrix.matrix`, `floquet_power`, `kick_axis_product`) are assembled
-from the blocks, with exact zeros where m + n is odd.  Propagation applies
-each block to its own parity sector and neither builds nor applies the block
-of a sector without amplitude, which stays exactly empty: a ground state
-only ever meets the even block.
+and `floquet` return them as their even block (rows and columns 0, 2, 4,
+...) and odd block (1, 3, 5, ...).  The dense matrices (`build_kick`,
+`floquet_power`, `kick_axis_product`) are assembled from the blocks, with
+exact zeros where m + n is odd.  Propagation applies each block to its own
+parity sector and neither builds nor applies the block of a sector without
+amplitude, which stays exactly empty: a ground state only ever meets the
+even block.
 
 Each kick is built from one diagonalization of the real tridiagonal
 quadrature operator eta (a + a^dag) and exponentiated on its spectrum, so it
@@ -68,24 +68,6 @@ class FockVector:
 
     def norm(self) -> float:
         return float(np.linalg.norm(self.amps))
-
-
-@dataclass
-class FloquetMatrix:
-    """One-kick evolution operator as its (even, odd) parity blocks, with
-    its parameter snapshot."""
-
-    blocks: tuple[np.ndarray, np.ndarray]
-    params: SystemParams
-
-    @property
-    def dim(self) -> int:
-        return sum(block.shape[0] for block in self.blocks)
-
-    @property
-    def matrix(self) -> np.ndarray:
-        """The dense D x D operator, exactly 0 across parity."""
-        return _assemble(self.blocks)
 
 
 @dataclass
@@ -241,10 +223,11 @@ def build_free(params: SystemParams, dim: int) -> np.ndarray:
     return np.diag(_free_phases(params, dim))
 
 
-def _floquet_blocks(params: SystemParams, dim: int,
-                    parities: tuple[int, ...] = (0, 1)) -> tuple[np.ndarray, ...]:
-    """The parity blocks of F named by `parities`: the rows of each kick
-    block scaled by the free phases of its parity."""
+def floquet(params: SystemParams, dim: int,
+            parities: tuple[int, ...] = (0, 1)) -> tuple[np.ndarray, ...]:
+    """One-kick Floquet operator F = U_free * U_kick as its parity blocks,
+    one for each of `parities`: the rows of each kick block scaled by the
+    free phases of its parity."""
     free = _free_phases(params, dim)
     blocks = kick_blocks(params, dim, parities=parities)
     for s, block in zip(parities, blocks):
@@ -252,17 +235,12 @@ def _floquet_blocks(params: SystemParams, dim: int,
     return blocks
 
 
-def floquet(params: SystemParams, dim: int) -> FloquetMatrix:
-    """One-kick Floquet operator F = U_free * U_kick, as its parity blocks."""
-    return FloquetMatrix(_floquet_blocks(params, dim), params)
-
-
 def floquet_power(params: SystemParams, dim: int, p: int) -> np.ndarray:
     """F^p by repeated multiplication of each parity block."""
     if p < 0:
         raise ValueError("p must be nonnegative")
     return _assemble([np.linalg.matrix_power(block, p)
-                      for block in floquet(params, dim).blocks])
+                      for block in floquet(params, dim)])
 
 
 def kick_axis_product(params: SystemParams, dim: int, v: int = 1) -> np.ndarray:
@@ -298,19 +276,18 @@ def amplified_kick_operator(params: SystemParams, dim: int, v: int) -> np.ndarra
     return kick_axis_product(params, dim, v=v)
 
 
-def kick_expansion_matrix(params: SystemParams, dim: int, v: int = 1,
+def kick_expansion_matrix(params: SystemParams, dim: int,
                           theta: float = 0.0) -> np.ndarray:
     """Kick factor assembled from its displacement-operator expansion,
-    sum_k i^k J_k(zeta v) D(i k eta e^{i theta}), with exact matrix elements.
+    sum_k i^k J_k(zeta) D(i k eta e^{i theta}), with exact matrix elements.
 
     Independent verification route for build_kick; the k-sum truncates at
-    k_cutoff(zeta v).
+    k_cutoff(zeta).
     """
-    zeff = params.zeta * v
-    kc = specfun.k_cutoff(zeff)
+    kc = specfun.k_cutoff(params.zeta)
     out = np.zeros((dim, dim), dtype=complex)
     for k in range(-kc, kc + 1):
-        jk = specfun.bessel_j(k, zeff)
+        jk = specfun.bessel_j(k, params.zeta)
         if jk == 0.0:
             continue
         disp = specfun.displacement_matrix(1j * k * params.eta * np.exp(1j * theta), dim)
@@ -322,12 +299,13 @@ def kick_expansion_matrix(params: SystemParams, dim: int, v: int = 1,
 # interior-block comparison helpers
 
 
-def interior_block(dim: int, buffer: float = DEFAULT_EDGE_BUFFER) -> int:
+def interior_block(dim: int) -> int:
     """Dimension of the truncation-safe block: states with phase-space
-    radius sqrt(n) at least `buffer` inside the edge radius sqrt(dim)."""
-    root = math.sqrt(dim) - buffer
+    radius sqrt(n) at least DEFAULT_EDGE_BUFFER inside the edge radius
+    sqrt(dim)."""
+    root = math.sqrt(dim) - DEFAULT_EDGE_BUFFER
     if root <= 1.0:
-        raise ValueError(f"dim={dim} too small for edge buffer {buffer}")
+        raise ValueError(f"dim={dim} too small for edge buffer {DEFAULT_EDGE_BUFFER}")
     return int(root * root)
 
 
@@ -348,20 +326,19 @@ def mismatch_up_to_phase(a: np.ndarray, b: np.ndarray, block: int) -> float:
     return interior_max(b - phase_align(a, b), block)
 
 
-def symmetry_commutator_norm(params: SystemParams, dim: int, *gens: complex,
-                             block: int | None = None) -> float:
+def symmetry_commutator_norm(params: SystemParams, dim: int, *gens: complex) -> float:
     """Worst interior max-norm of [F^q, D(gen)] over symmetry-set generators;
-    F^q is built once for all of them."""
+    F^q is built once for all of them, and only the interior block of each
+    commutator is formed."""
     gens = [g for g in gens if g != 0]
     if not gens:
         return 0.0
-    if block is None:
-        block = interior_block(dim)
+    b = interior_block(dim)
     fq = floquet_power(params, dim, params.q)
     worst = 0.0
     for gen in gens:
         dg = specfun.displacement_matrix(gen, dim)
-        worst = max(worst, interior_max(fq @ dg - dg @ fq, block))
+        worst = max(worst, float(np.abs(fq[:b] @ dg[:, :b] - dg[:b] @ fq[:, :b]).max()))
     return worst
 
 
@@ -369,7 +346,7 @@ def symmetry_commutator_norm(params: SystemParams, dim: int, *gens: complex,
 # propagation and observables
 
 
-def _propagate(params: SystemParams, amps: np.ndarray, n_max: int, leak_tol: float,
+def _propagate(params: SystemParams, amps: np.ndarray, n_max: int,
                e_target: float = math.inf) -> tuple[np.ndarray, np.ndarray, int | None]:
     """The kick loop of `evolve` and `kicks_to_energy`: apply F up to n_max
     times, stopping after the first kick whose mean energy reaches e_target.
@@ -379,13 +356,13 @@ def _propagate(params: SystemParams, amps: np.ndarray, n_max: int, leak_tol: flo
     applied.  The leak is the weight on the top tenth of the basis, and on
     the top state at least.  Returns the final amplitudes, the mean
     energies before kick 0, 1, ..., and the first kick whose leak exceeds
-    leak_tol (None if none did).
+    DEFAULT_LEAK_TOL (None if none did).
     """
     dim = amps.shape[0]
     tail = dim - max(dim // 10, 1)
     parities = tuple(s for s in (0, 1) if amps[s::2].any())
     sectors, psis = [], []  # (parity, block, weights, first tail float), amplitudes
-    for s, block in zip(parities, _floquet_blocks(params, dim, parities)):
+    for s, block in zip(parities, floquet(params, dim, parities)):
         # one weight n + 1/2 per float of the (re, im) view of the amplitudes
         weights = np.repeat(np.arange(s, dim, 2) + 0.5, 2)
         sectors.append((s, block, weights, 2 * ((tail - s + 1) // 2)))
@@ -402,7 +379,7 @@ def _propagate(params: SystemParams, amps: np.ndarray, n_max: int, leak_tol: flo
             if first_unsafe is None:
                 leak += x[edge:] @ x[edge:]
         energies[k] = energy
-        if k and first_unsafe is None and leak > leak_tol:
+        if k and first_unsafe is None and leak > DEFAULT_LEAK_TOL:
             first_unsafe = k
         if energy >= e_target:
             break
@@ -412,25 +389,23 @@ def _propagate(params: SystemParams, amps: np.ndarray, n_max: int, leak_tol: flo
     return out, energies[:k + 1], first_unsafe
 
 
-def evolve(state: FockVector, params: SystemParams, n_kicks: int,
-           leak_tol: float = DEFAULT_LEAK_TOL) -> EvolveResult:
+def evolve(state: FockVector, params: SystemParams, n_kicks: int) -> EvolveResult:
     """Apply F n_kicks times, recording the mean energy at every kick.
 
-    A truncation leak beyond leak_tol flags the run unsafe; evolution
+    A truncation leak beyond DEFAULT_LEAK_TOL flags the run unsafe; evolution
     continues and the flagged result is returned.
     """
-    amps, energies, first_unsafe = _propagate(params, state.amps, n_kicks, leak_tol)
+    amps, energies, first_unsafe = _propagate(params, state.amps, n_kicks)
     return EvolveResult(state=FockVector(amps), energies=energies,
                         truncation_unsafe=first_unsafe is not None,
                         first_unsafe_kick=first_unsafe)
 
 
 def kicks_to_energy(params: SystemParams, e_target: float, n_max: int,
-                    dim: int = 500, leak_tol: float = DEFAULT_LEAK_TOL) -> KicksToEnergyResult:
+                    dim: int = 500) -> KicksToEnergyResult:
     """Smallest kick count at which the ground state's mean energy reaches
     e_target (units hbar*omega), or an exhausted result after n_max kicks."""
-    _, energies, first_unsafe = _propagate(params, ground_state(dim).amps, n_max,
-                                           leak_tol, e_target)
+    _, energies, first_unsafe = _propagate(params, ground_state(dim).amps, n_max, e_target)
     hit = energies.size - 1 if energies[-1] >= e_target else None
     return KicksToEnergyResult(n_kicks=hit, reached=hit is not None, energies=energies,
                                truncation_unsafe=first_unsafe is not None,
@@ -542,15 +517,14 @@ class DoublingResult:
     converged: bool
 
 
-def doubling_rule(observable, start: int = 256, max_dim: int = 2048,
-                  rel_tol: float = 1e-6) -> DoublingResult:
+def doubling_rule(observable, start: int = 256, max_dim: int = 2048) -> DoublingResult:
     """Accept the observable at dimension D once recomputing at 2D moves it
-    by less than rel_tol (relative); observable is a callable of D."""
+    by at most 1e-6 (relative); observable is a callable of D."""
     d = start
     val = observable(d)
     while 2 * d <= max_dim:
         val2 = observable(2 * d)
-        if abs(val2 - val) <= rel_tol * max(1.0, abs(val)):
+        if abs(val2 - val) <= 1e-6 * max(1.0, abs(val)):
             return DoublingResult(value=val, dim=d, converged=True)
         d, val = 2 * d, val2
     return DoublingResult(value=val, dim=d, converged=False)

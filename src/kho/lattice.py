@@ -131,17 +131,14 @@ def analytic_q4(n_kicks: int, zeta: float, m: int, n: int) -> complex:
     """Closed-form coefficient M[N]_{m,n} for q = 4 at the principal
     quantum resonance (eta^2 an odd multiple of pi):
 
-        (-1)^{m n} i^m J_m(C_m zeta) i^n J_n(C_n zeta),  N >= 2,
+        (-1)^{m n} i^{m+n} J_m(C_m zeta) J_n(C_n zeta),  N >= 2,
 
     with (C_m, C_n) = bessel_growth_factors(N).  The whole time dependence
     sits in the growing Bessel arguments.
     """
-    if n_kicks < 2:
-        raise ValueError(f"closed form holds for N >= 2 kicks, got N={n_kicks}")
     cm, cn = bessel_growth_factors(n_kicks)
-    sign = -1.0 if (m * n) % 2 else 1.0
-    return (sign * (1j) ** m * specfun.bessel_j(m, cm * zeta)
-            * (1j) ** n * specfun.bessel_j(n, cn * zeta))
+    return (phase_pattern(n_kicks, m, n) * specfun.bessel_j(m, cm * zeta)
+            * specfun.bessel_j(n, cn * zeta))
 
 
 def phase_pattern(n_kicks: int, m: int, n: int) -> complex:
@@ -217,16 +214,15 @@ def analytic_q6_cycle(state: LatticeState, eps: float = EPS_LAT) -> LatticeState
                         eta=state.eta, zeta=state.zeta, coeffs=coeffs)
 
 
-def to_fock(state: LatticeState, dim: int,
-            unreliable_tol: float = 1e-3) -> ConversionResult:
+def to_fock(state: LatticeState, dim: int) -> ConversionResult:
     """Materialize the lattice superposition in the truncated number basis.
 
     Each term is a displaced coherent state, reduced with
     D(beta)|alpha_j> = e^{(beta alpha_j^* - beta^* alpha_j)/2} |beta + alpha_j>,
     and psi_n sums the prefactors times c_n(beta + alpha_j) from
     specfun.coherent_fock.  The output is normalized; raw_norm records the
-    pre-normalization norm.  ValueError if it is 0: the basis holds none of
-    the state.
+    pre-normalization norm, and the result is reliable when it is within
+    1e-3 of 1.  ValueError if it is 0: the basis holds none of the state.
     """
     if not state.coeffs:
         raise ValueError("empty coefficient map")
@@ -245,7 +241,7 @@ def to_fock(state: LatticeState, dim: int,
     raw_norm = float(np.linalg.norm(psi))
     if raw_norm == 0.0:
         raise ValueError(f"the first {dim} number states hold none of the lattice state")
-    reliable = abs(raw_norm - 1.0) <= unreliable_tol
+    reliable = abs(raw_norm - 1.0) <= 1e-3
     return ConversionResult(state=FockVector(psi / raw_norm),
                             raw_norm=raw_norm, reliable=reliable)
 

@@ -81,8 +81,9 @@ class SystemParams:
             raise ValueError(f"r={self.r}, q={self.q} must be coprime")
         if not (math.isfinite(self.eta_sq) and self.eta_sq > 0):
             raise ValueError(f"eta_sq must be finite and positive, got {self.eta_sq}")
-        if not math.isfinite(self.kappa):
-            raise ValueError(f"kappa must be finite, got {self.kappa}")
+        if not math.isfinite(self.zeta):  # a non-finite kappa, or one too large for eta_sq
+            raise ValueError(f"zeta = -kappa/(sqrt(2)*eta_sq) must be finite, got {self.zeta} "
+                             f"from kappa={self.kappa}, eta_sq={self.eta_sq}")
 
     @property
     def tau(self) -> float:

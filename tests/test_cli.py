@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 import kho
-from kho import cli, fock, lattice, model, output
+from kho import cli, fock, lattice, model, output, verify
 from kho.cli import main
 
 
@@ -247,6 +247,28 @@ class TestVerify:
         assert "FAIL" not in out
         assert "checks passed" in out
 
+    def test_full_level_runs_every_check(self):
+        names = [
+            "resonant-value table q=1..8",
+            "Graf closure (100 random triples + alpha=pi)",
+            "q-axis product vs F^q (D=128, full matrix)",
+            "kick spectral vs displacement expansion (D=256, block=64)",
+            "lattice mapping vs closed form (q=4, N=2..8)",
+            "resonant phase pattern (-1)^{mn} i^{m+n}",
+            "lattice state JSON roundtrip",
+            "q=6 three-step cycle vs stepped mapping",
+            *(f"fock/lattice fidelity q={q} eta2={tag} N=12 (D=256)"
+              for q in (3, 4, 6) for tag in ("principal", "phi*pi")),
+            "amplified kick q=4 v=2 vs F^(qv) (D=256, block=64)",
+            "amplified kick q=4 v=3 vs F^(qv) (D=256, block=64)",
+            "amplified kick q=3 v=2 vs F^(qv) (D=256, block=64)",
+            *(f"[F^q, D(gamma)] q={q} eta2={tag} (D=512)"
+              for q in (3, 4, 6) for tag in ("principal", "phi*pi")),
+        ]
+        checks = verify.run("full")
+        assert [c.name for c in checks] == names
+        assert all(c.passed for c in checks), [c.line() for c in checks if not c.passed]
+
     def test_skewed_zeta_fails_cross_representation(self, capsys, monkeypatch):
         # a lattice route 5% off in zeta must fail the fidelity check
         init = lattice.init_coherent
@@ -301,6 +323,11 @@ class TestUsageErrors:
         ["qfunc", "--dim", "1", "--kicks", "0", "--res", "2", "--window", "1e308",
          "--eta2", "pi"],
         ["qfunc", "--eta2", "pi", "--window", "-1.5e308,1.5e308,-1,1"],
+        ["evolve", "--eta2", "1e-320", "--dim", "4", "--kicks", "1"],
+        ["qfunc", "--eta2", "1e-320", "--dim", "4", "--kicks", "1", "--res", "3"],
+        ["evolve", "--kappa", "1e300", "--eta2", "1e-10", "--dim", "4", "--kicks", "1"],
+        ["energy-scan", "--scan-min", "1e-320", "--scan-max", "1e-319"],
+        ["spectrum", "--scan-min", "1e-320", "--scan-max", "1e-319"],
     ])
     def test_bad_input_is_clean_usage_error(self, tmp_path, capsys, argv):
         # an uncaught exception, or a numpy warning raised as one, would

@@ -1,4 +1,4 @@
-"""Input fuzz of the CLI: any eta^2, --alpha, --window and integer-flag text
+"""Input fuzz of the CLI: any eta^2, --kappa, --alpha, --window and integer-flag text
 ends in a documented exit status, never in an escaping exception or a numpy
 warning, and a run that writes its CSV (exit 0 or 2) writes only finite
 numbers.
@@ -62,13 +62,15 @@ FUZZED = {"q": (int_text(-1, 7), ["4", "5", "7"]), "r": (int_text(-1, 4), ["1", 
              "kicks": (int_text(-2, 5), ["0", "3"]), "res": (int_text(-1, 4), ["2", "3"]),
              "scan-points": (int_text(-1, 3), ["1", "2"]), "threads": (int_text(-2, 1), ["1"]),
              "alpha": (ALPHA_TEXT, ["0", "0.3-0.2j", "1.5j"]),
-             "window": (WINDOW_TEXT, ["4", "-3,3,-2,2"])}
+             "window": (WINDOW_TEXT, ["4", "-3,3,-2,2"]),
+             "kappa": (NUMBER_TEXT, ["-0.8", "0", "3", "-1e300", "1e-300"])}
 VALID_ETA2 = ["pi", "phi*pi", "0.7", "2pi/sqrt3", "3/2*pi"]
-FLAGS = {"evolve": ("q", "r", "dim", "kicks", "alpha", "eta2"),
-         "qfunc": ("q", "r", "dim", "kicks", "res", "alpha", "window", "eta2"),
-         "energy-scan": ("q", "r", "dim", "kicks", "scan-points", "threads",
+FLAGS = {"evolve": ("q", "r", "kappa", "dim", "kicks", "alpha", "eta2"),
+         "qfunc": ("q", "r", "kappa", "dim", "kicks", "res", "alpha", "window", "eta2"),
+         "energy-scan": ("q", "r", "kappa", "dim", "kicks", "scan-points", "threads",
                          "eta2", "scan-min", "scan-max"),
-         "spectrum": ("q", "r", "dim", "scan-points", "threads", "eta2", "scan-min", "scan-max")}
+         "spectrum": ("q", "r", "kappa", "dim", "scan-points", "threads", "eta2",
+                      "scan-min", "scan-max")}
 
 
 @st.composite
@@ -81,7 +83,6 @@ def argvs(draw):
         fuzz, valid = FUZZED.get(flag, (ETA2_TEXT, VALID_ETA2))
         value = draw(fuzz if flag in fuzzed else st.sampled_from(valid))
         argv.append(f"--{flag}={value}")
-    argv.append(f"--kappa={draw(st.sampled_from(['-0.8', '0', '3', '-1e300', '1e-300']))}")
     return argv
 
 
@@ -107,6 +108,8 @@ def assert_finite_csv(path, argv):
 @given(argvs())
 @example(["qfunc", "--q=4", "--r=1", "--dim=1", "--kicks=0", "--res=2", "--alpha=0",
           "--window=1e308", "--eta2=pi", "--kappa=-0.8"])  # linspace width overflowed
+@example(["evolve", "--q=4", "--r=1", "--kappa=-0.8", "--dim=4", "--kicks=1", "--alpha=0",
+          "--eta2=1e-320"])  # zeta overflowed to inf, and the trace to nan
 def test_cli_input_fuzz(argv):
     with tempfile.TemporaryDirectory() as tmp, warnings.catch_warnings(), \
             contextlib.redirect_stderr(io.StringIO()) as err, \

@@ -84,6 +84,7 @@ class TestSystemParams:
     @pytest.mark.parametrize("kappa,eta_sq", [
         (-0.8, math.nan), (-0.8, math.inf), (-0.8, 0.0), (-0.8, -1.0),
         (math.nan, math.pi), (math.inf, math.pi), (-math.inf, math.pi),
+        (-0.8, 1e-320), (1e300, 1e-10),  # zeta = -kappa/(sqrt(2) eta^2) overflows
     ])
     def test_rejects_nonfinite_or_nonpositive(self, kappa, eta_sq):
         with pytest.raises(ValueError):
