@@ -426,14 +426,16 @@ def q_function(state: FockVector, window: tuple[float, float, float, float],
     """Husimi distribution Q(alpha) = |<psi|alpha>|^2 / pi on a grid.
 
     The overlaps sum conj(psi_n) c_n(alpha) over the orders that
-    specfun.coherent_fock yields for the whole grid at once.
+    specfun.coherent_fock yields for the whole grid at once, skipping
+    orders whose amplitude is exactly zero.
     """
     re_min, re_max, im_min, im_max = window
     n_re, n_im = resolution
     alpha = np.linspace(re_min, re_max, n_re) + 1j * np.linspace(im_min, im_max, n_im)[:, None]
     overlap = np.zeros(alpha.shape, dtype=complex)
-    for amp, c_n in zip(state.amps.conj(), specfun.coherent_fock(alpha, state.dim)):
-        overlap += amp * c_n
+    for amp, c_n in zip(state.amps.conj().tolist(), specfun.coherent_fock(alpha, state.dim)):
+        if amp:
+            overlap += amp * c_n
     return QGrid(re_min, re_max, im_min, im_max, np.abs(overlap) ** 2 / np.pi)
 
 

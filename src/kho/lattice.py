@@ -36,6 +36,9 @@ XI_Q = {3: -1, 4: 0, 6: 1}
 
 EPS_LAT = 1e-12  # magnitude threshold for retaining coefficients
 
+_I_POWERS = np.array([1, 1j, -1, -1j])  # i^k indexed by k mod 4
+_KEY_OFFSET = 1 << 31  # shifts a lattice index into the low 32 bits of a step key
+
 
 @dataclass
 class LatticeState:
@@ -77,30 +80,31 @@ def from_params(alpha: complex, params: SystemParams) -> LatticeState:
 def step(state: LatticeState, eps: float = EPS_LAT) -> LatticeState:
     """Advance the coefficient lattice by one kick.
 
-    The k-sum truncates at k_cutoff(zeta); coefficients below eps are
-    dropped after the full accumulation.
+    The k-sum truncates at k_cutoff(zeta).  All (coefficient, k) terms are
+    summed per target by one scatter-add, in source order; coefficients
+    below eps are dropped after the full accumulation.
     """
     xi = XI_Q[state.q]
     kc = specfun.k_cutoff(state.zeta)
-    ks = range(-kc, kc + 1)
-    jk = specfun.bessel_range(state.zeta, -kc, kc)
+    k = np.arange(-kc, kc + 1)
     # i^k J_k(zeta), k = -kc..kc
-    wk = [(1j) ** k * jk[k + kc] for k in ks]
+    wk = _I_POWERS[k % 4] * specfun.bessel_range(state.zeta, -kc, kc)
     w = state.eta_sq * math.sin(2.0 * math.pi / state.q)
-    new: dict[tuple[int, int], complex] = {}
-    for (m0, n0), val in state.coeffs.items():
-        # e^{i k n0 w} across the k range
-        rot = complex(math.cos(n0 * w), math.sin(n0 * w))
-        phase = rot ** (-kc)
-        m_new = -n0
-        n_base = m0 + xi * n0
-        for k in ks:
-            key = (m_new, n_base + k)
-            contrib = val * wk[k + kc] * phase
-            acc = new.get(key)
-            new[key] = contrib if acc is None else acc + contrib
-            phase *= rot
-    new = {key: v for key, v in new.items() if abs(v) >= eps}
+    keys = np.array(list(state.coeffs), dtype=np.int64).reshape(-1, 2)
+    vals = np.fromiter(state.coeffs.values(), complex, len(state.coeffs))
+    m0, n0 = keys[:, :1], keys[:, 1:]
+    # e^{i k n0 w} depends on the integer k*n0 alone: one exp per value
+    top = int(np.abs(n0 * kc).max(initial=0))
+    rot = np.exp(1j * w * np.arange(-top, top + 1))
+    contrib = (vals[:, None] * wk * rot[n0 * k + top]).ravel()
+    # target (-n0, m0 + xi*n0 + k) as one int64; |n'| < 2^31 keeps it unique
+    code = (-n0 << 32) + (m0 + xi * n0 + k + _KEY_OFFSET)
+    uniq, inv = np.unique(code.ravel(), return_inverse=True)
+    sums = np.bincount(inv, contrib.real) + 1j * np.bincount(inv, contrib.imag)
+    keep = np.abs(sums) >= eps
+    m_new, n_new = np.divmod(uniq[keep], 1 << 32)
+    new = dict(zip(zip(m_new.tolist(), (n_new - _KEY_OFFSET).tolist()),
+                   sums[keep].tolist()))
     return LatticeState(alpha=state.alpha, j=state.j + 1, q=state.q,
                         eta=state.eta, zeta=state.zeta, coeffs=new)
 
@@ -127,28 +131,31 @@ def bessel_growth_factors(n_kicks: int) -> tuple[int, int]:
     return (n_kicks - 1) // 2, (n_kicks + 1) // 2
 
 
-def analytic_q4(n_kicks: int, zeta: float, m: int, n: int) -> complex:
+def analytic_q4(n_kicks: int, zeta: float, m, n):
     """Closed-form coefficient M[N]_{m,n} for q = 4 at the principal
     quantum resonance (eta^2 an odd multiple of pi):
 
         (-1)^{m n} i^{m+n} J_m(C_m zeta) J_n(C_n zeta),  N >= 2,
 
     with (C_m, C_n) = bessel_growth_factors(N).  The whole time dependence
-    sits in the growing Bessel arguments.
+    sits in the growing Bessel arguments.  m and n are integers or integer
+    arrays, broadcast against each other.
     """
     cm, cn = bessel_growth_factors(n_kicks)
-    return (phase_pattern(n_kicks, m, n) * specfun.bessel_j(m, cm * zeta)
-            * specfun.bessel_j(n, cn * zeta))
+    m, n = np.asarray(m), np.asarray(n)
+    top = int(max(np.max(np.abs(m)), np.max(np.abs(n))))
+    return (phase_pattern(n_kicks, m, n) * specfun.bessel_range(cm * zeta, -top, top)[m + top]
+            * specfun.bessel_range(cn * zeta, -top, top)[n + top])
 
 
-def phase_pattern(n_kicks: int, m: int, n: int) -> complex:
+def phase_pattern(n_kicks: int, m, n):
     """Coefficient phase with Bessel parity divided out, q = 4 resonant case:
     M[N]_{m,n} / [J_m(C_m zeta) J_n(C_n zeta)] = (-1)^{m n} i^{m+n},
-    independent of N for N >= 2."""
+    independent of N for N >= 2.  m and n broadcast like analytic_q4's."""
     if n_kicks < 2:
         raise ValueError(f"pattern holds for N >= 2 kicks, got N={n_kicks}")
-    sign = -1.0 if (m * n) % 2 else 1.0
-    return sign * (1j) ** ((m + n) % 4)
+    m, n = np.asarray(m), np.asarray(n)
+    return (1 - 2 * ((m * n) % 2)) * _I_POWERS[(m + n) % 4]
 
 
 def _q6_parity_check(state: LatticeState) -> int:
@@ -183,7 +190,7 @@ def q6_triple_sum(zeta_eff: float, m, n):
     top = kc + int(np.max(np.abs(m) + np.abs(n)))
     bessel = specfun.bessel_range(zeta_eff, -top, top)
     jk, j1, j2 = (bessel[order + top] for order in (k, n - k, m + n - k))
-    power = np.array([1, 1j, -1, -1j])[(m + 2 * n - k) % 4]
+    power = _I_POWERS[(m + 2 * n - k) % 4]
     sign = 1 - 2 * ((m * n + n * n + k * k) % 2)
     return np.sum(sign * power * jk * j1 * j2, axis=-1)
 

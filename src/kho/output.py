@@ -22,6 +22,11 @@ def fmt(x) -> str:
     return f"{float(x):.17g}"
 
 
+def _row(values) -> str:
+    """One CSV row: .17g prints floats to round-trip, ints below 1e17 as integers."""
+    return ",".join(map("{:.17g}".format, values))
+
+
 def header_lines(subcommand: str, config: dict) -> list[str]:
     items = " ".join(f"{k}={config[k]}" for k in sorted(config))
     return [f"# kho-csv v{SCHEMA_VERSION} subcommand={subcommand}", f"# config: {items}"]
@@ -33,15 +38,14 @@ def write_csv(path, subcommand: str, config: dict, columns: list[str], rows,
     if extra_header:
         lines += [f"# {h}" for h in extra_header]
     lines.append(",".join(columns))
-    for row in rows:
-        lines.append(",".join(fmt(x) for x in row))
+    lines += [_row(row) for row in rows]
     with open(path, "w") as fh:
         fh.write("\n".join(lines) + "\n")
 
 
 def write_energy_trace(path, config: dict, energies: np.ndarray,
                        extra_header: list[str] | None = None) -> None:
-    rows = ((k, e) for k, e in enumerate(energies))
+    rows = enumerate(energies.tolist())
     write_csv(path, "evolve", config, ["kick", "mean_energy"], rows, extra_header)
 
 
@@ -54,8 +58,7 @@ def write_qgrid(path, config: dict, grid: QGrid,
     lines = header_lines("qfunc", config) + [f"# {window}"]
     if extra_header:
         lines += [f"# {h}" for h in extra_header]
-    for row in grid.values:
-        lines.append(",".join(fmt(x) for x in row))
+    lines += [_row(row.tolist()) for row in grid.values]
     with open(path, "w") as fh:
         fh.write("\n".join(lines) + "\n")
 

@@ -133,8 +133,9 @@ def graf_sum(n: int, zeta: float, alpha: float, k_max: int | None = None) -> com
 def displacement_matrix(alpha: complex, dim: int) -> np.ndarray:
     """Dense dim x dim matrix of exact displacement elements <m|D(alpha)|n>.
 
-    One pass of the Laguerre recurrence over the lower index, vectorized
-    across diagonal offsets, fills both triangles.
+    One pass of the Laguerre recurrence over the lower index n, vectorized
+    across the dim - n diagonal offsets still inside the matrix, fills both
+    triangles, one row and one column per step.
     """
     alpha = complex(alpha)
     if alpha == 0:
@@ -149,21 +150,22 @@ def displacement_matrix(alpha: complex, dim: int) -> np.ndarray:
     lk_m1 = np.zeros(dim)
     lk = np.ones(dim)
     logscale = np.zeros(dim)
-    log_a = math.log(abs(alpha))
+    d_log_a = offs * math.log(abs(alpha))
     for n in range(dim):
+        width = dim - n  # offsets still inside the matrix
         if n > 0:
-            lk_m1, lk = lk, ((2 * n - 1 + offs - x) * lk - (n - 1 + offs) * lk_m1) / n
+            d = offs[:width]
+            lk_m1, lk = lk[:width], ((2 * n - 1 + d - x) * lk[:width]
+                                     - (n - 1 + d) * lk_m1[:width]) / n
             big = np.abs(lk) > _RESCALE
             if big.any():
                 lk[big] /= _RESCALE
                 lk_m1[big] /= _RESCALE
-                logscale[big] += math.log(_RESCALE)
-        width = dim - n
-        d = offs[:width]
-        logpref = 0.5 * (lg[n] - lg[n + d]) + d * log_a - 0.5 * x
-        mag = np.exp(logpref + logscale[:width]) * lk[:width]
-        out[n + d, n] = mag * phase_up[:width]
-        out[n, n + d] = mag * phase_dn[:width]
+                logscale[:width][big] += math.log(_RESCALE)
+        logpref = 0.5 * (lg[n] - lg[n:]) + d_log_a[:width] - 0.5 * x
+        mag = np.exp(logpref + logscale[:width]) * lk
+        out[n:, n] = mag * phase_up[:width]
+        out[n, n:] = mag * phase_dn[:width]
     return out
 
 
@@ -183,9 +185,13 @@ def coherent_fock(alpha, dim: int) -> Iterator[np.ndarray]:
     power = np.ones_like(alpha)
     logscale = -0.5 * np.abs(alpha) ** 2
     scale = np.exp(logscale)
+    # |alpha^n / sqrt(n!)| <= e^{|alpha|^2/2}: the power passes _RESCALE only past
+    # this bound, whose margin of 1 covers rounding
+    may_pass = -logscale.min(initial=0.0) >= math.log(_RESCALE) - 1.0
     for n in range(dim):
         if n:
             power *= alpha / math.sqrt(n)
+        if n and may_pass:
             big = np.abs(power) > _RESCALE
             if big.any():
                 power[big] /= _RESCALE

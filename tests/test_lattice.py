@@ -89,14 +89,27 @@ class TestStep:
                 assert out.coeffs[key] == pytest.approx(v, abs=1e-15)
 
     def test_scatter_matches_gather_oracle(self):
-        for q, seed in ((3, 1), (4, 2), (6, 3)):
-            st = random_sparse_state(q, PHI * math.pi, 0.21, seed=seed)
+        states = [random_sparse_state(q, PHI * math.pi, 0.21, seed=seed)
+                  for q, seed in ((3, 1), (4, 2), (6, 3))]
+        # resonant q = 4: the step phases are signs and many contributions cancel
+        states.append(lattice.steps(lattice.from_params(0.0, params_q4()), 3))
+        for st in states:
             got = lattice.step(st, eps=0.0).coeffs
-            span = 2 * lattice.support_radius(st) + specfun.k_cutoff(0.21) + 2
+            span = 2 * lattice.support_radius(st) + specfun.k_cutoff(st.zeta) + 2
             want = gather_step(st, span)
             keys = set(got) | set(want)
             worst = max(abs(got.get(k, 0.0) - want.get(k, 0.0)) for k in keys)
             assert worst < 1e-13
+
+    def test_empty_map_steps_to_empty_map(self):
+        empty = random_sparse_state(4, math.pi, 0.18, seed=0, n_entries=0)
+        out = lattice.step(empty)
+        assert out.coeffs == {} and out.j == 1
+        # every sum below eps: nothing is retained
+        faint = lattice.init_coherent(0.0, 4, math.sqrt(math.pi), 0.18)
+        faint.coeffs = {(0, 0): 1e-14 + 0j, (2, -1): 1e-15j}
+        assert lattice.step(faint).coeffs == {}
+        assert lattice.steps(faint, 2).coeffs == {}
 
     def test_support_growth_bounded(self):
         p = params_q4(eta_sq=PHI * math.pi)
@@ -125,17 +138,22 @@ class TestAnalyticQ4:
         assert lattice.bessel_growth_factors(5) == (2, 3)
         assert lattice.bessel_growth_factors(8) == (4, 4)
 
-    def test_matches_stepped_mapping(self):
-        p = params_q4()
-        st = lattice.steps(lattice.from_params(0.0, p), 2)
-        for n_kicks in range(2, 9):
-            worst = 0.0
-            for m in range(-12, 13):
-                for n in range(-12, 13):
-                    got = st.coeffs.get((m, n), 0.0)
-                    worst = max(worst, abs(got - lattice.analytic_q4(n_kicks, p.zeta, m, n)))
-            assert worst < 1e-10, f"N={n_kicks}"
-            st = lattice.step(st)
+    def test_broadcasts_like_scalar_calls(self):
+        z = params_q4().zeta
+        ms, ns = np.arange(-9, 10)[:, None], np.arange(-7, 8)
+        for n_kicks in (2, 5, 8):
+            cm, cn = lattice.bessel_growth_factors(n_kicks)
+            grid = lattice.analytic_q4(n_kicks, z, ms, ns)
+            pattern = lattice.phase_pattern(n_kicks, ms, ns)
+            assert grid.shape == pattern.shape == (19, 15)
+            for i, m in enumerate(ms[:, 0].tolist()):
+                for j, n in enumerate(ns.tolist()):
+                    assert grid[i, j] == lattice.analytic_q4(n_kicks, z, m, n)
+                    assert pattern[i, j] == lattice.phase_pattern(n_kicks, m, n)
+                    sign = (-1) ** (m * n) * (1j) ** (m + n)
+                    assert pattern[i, j] == sign
+                    loop = sign * bessel_series(m, cm * z) * bessel_series(n, cn * z)
+                    assert abs(grid[i, j] - loop) < 1e-15
 
     def test_small_n_displays(self):
         z = 0.18

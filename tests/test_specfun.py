@@ -188,15 +188,17 @@ def test_coherent_fock_matches_displacement_column():
     assert np.linalg.norm(col) == pytest.approx(1.0, abs=1e-12)
 
 
-@pytest.mark.parametrize("alpha", [0.0, 1.3 - 0.7j, 38.0, 45.0 + 10.0j])
+@pytest.mark.parametrize("alpha", [0.0, 1.3 - 0.7j, 33.9, 34.0j, 38.0, 45.0 + 10.0j])
 def test_coherent_fock_matches_mpmath(alpha):
     # the power alpha^n / sqrt(n!) passes _RESCALE below order 2600 for
-    # |alpha| >= 38, so both sides of a rescale are compared; at 38 and above
-    # the seed e^{-|alpha|^2/2} is below the smallest normal double
+    # |alpha| >= 34, so both sides of a rescale are compared; at 38 and above
+    # the seed e^{-|alpha|^2/2} is below the smallest normal double.  The
+    # kernel tests the power against _RESCALE only from |alpha| =
+    # sqrt(2 ln(_RESCALE) - 2) ~ 33.90 on: 33.9 skips the test, 34 runs it
     dim = 2600
     if alpha:
         log_power = [n * math.log(abs(alpha)) - 0.5 * math.lgamma(n + 1.0) for n in range(dim)]
-        assert (max(log_power) > math.log(specfun._RESCALE)) == (abs(alpha) >= 38.0)
+        assert (max(log_power) > math.log(specfun._RESCALE)) == (abs(alpha) >= 34.0)
     got = np.array(list(specfun.coherent_fock(alpha, dim)))
     want = np.array([coherent_mp(alpha, n) for n in range(dim)])
     assert np.abs(got - want).max() <= 1e-13 * np.abs(want).max()
