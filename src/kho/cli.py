@@ -16,6 +16,7 @@ import math
 import os
 import sys
 from concurrent.futures import ProcessPoolExecutor
+from dataclasses import replace
 
 import numpy as np
 
@@ -213,42 +214,40 @@ def cmd_qfunc(args) -> int:
     return status
 
 
-def _scan_grid(args) -> np.ndarray:
-    """The eta^2 grid of a scan, once both bounds pass as eta^2 values."""
-    bounds = [model.parse_eta2(text) for text in (args.scan_min, args.scan_max)]
-    for eta_sq in bounds:
-        model.SystemParams(r=args.r, q=args.q, kappa=args.kappa, eta_sq=eta_sq)
-    return np.linspace(*bounds, args.scan_points)
+def _scan_grid(args) -> list[model.SystemParams]:
+    """One system per eta^2 of a scan, once both bounds pass as systems."""
+    lo, hi = (model.SystemParams(r=args.r, q=args.q, kappa=args.kappa,
+                                 eta_sq=model.parse_eta2(text))
+              for text in (args.scan_min, args.scan_max))
+    return [replace(lo, eta_sq=float(eta_sq))
+            for eta_sq in np.linspace(lo.eta_sq, hi.eta_sq, args.scan_points)]
 
 
 def _energy_scan_point(payload):
-    idx, eta_sq, q, r, kappa, dim, n_max = payload
-    params = model.SystemParams(r=r, q=q, kappa=kappa, eta_sq=eta_sq)
+    params, dim, n_max = payload
     res = fock.kicks_to_energy(params, max(ENERGY_TARGETS), n_max, dim=dim)
     crossings = fock.energy_crossings(res.energies, list(ENERGY_TARGETS))
     unsafe_before = (res.truncation_unsafe and
                      any(c is None or res.first_unsafe_kick <= c for c in crossings))
-    return idx, crossings, unsafe_before
+    return crossings, unsafe_before
 
 
 def _map_points(worker, payloads, threads):
+    """worker(payload) for each payload, results in payload order."""
     if threads > 1:
         with ProcessPoolExecutor(max_workers=threads) as ex:
-            results = list(ex.map(worker, payloads))
-    else:
-        results = [worker(p) for p in payloads]
-    return sorted(results, key=lambda t: t[0])
+            return list(ex.map(worker, payloads))
+    return [worker(p) for p in payloads]
 
 
 def cmd_energy_scan(args) -> int:
-    grid = _scan_grid(args)
-    payloads = [(i, float(e), args.q, args.r, args.kappa, args.dim, args.kicks)
-                for i, e in enumerate(grid)]
-    results = _map_points(_energy_scan_point, payloads, args.threads)
+    systems = _scan_grid(args)
+    results = _map_points(_energy_scan_point,
+                          [(params, args.dim, args.kicks) for params in systems], args.threads)
     rows, unsafe_points = [], []
-    for idx, crossings, unsafe in results:
+    for idx, (params, (crossings, unsafe)) in enumerate(zip(systems, results)):
         k50, k200 = (UNREACHED if c is None else c for c in crossings)
-        rows.append((grid[idx], k50, k200))
+        rows.append((params.eta_sq, k50, k200))
         if unsafe:
             unsafe_points.append(idx)
     cfg = _config_echo(args, ["q", "r", "kappa", "dim", "kicks",
@@ -265,17 +264,15 @@ def cmd_energy_scan(args) -> int:
 
 
 def _spectrum_point(payload):
-    idx, eta_sq, q, r, kappa, dim = payload
-    params = model.SystemParams(r=r, q=q, kappa=kappa, eta_sq=eta_sq)
+    params, dim = payload
     res = fock.quasienergy_spectrum(params, dim)
-    return idx, [(eta_sq, rec.phi, rec.ground_overlap) for rec in res.records]
+    return [(params.eta_sq, phi, overlap)
+            for phi, overlap in zip(res.phi.tolist(), res.ground_overlap.tolist())]
 
 
 def cmd_spectrum(args) -> int:
-    grid = _scan_grid(args)
-    payloads = [(i, float(e), args.q, args.r, args.kappa, args.dim)
-                for i, e in enumerate(grid)]
-    rows = [row for _, point_rows in _map_points(_spectrum_point, payloads, args.threads)
+    payloads = [(params, args.dim) for params in _scan_grid(args)]
+    rows = [row for point_rows in _map_points(_spectrum_point, payloads, args.threads)
             for row in point_rows]
     cfg = _config_echo(args, ["q", "r", "kappa", "dim",
                               "scan-min", "scan-max", "scan-points"])
@@ -322,7 +319,7 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return _HANDLERS[args.command](args)
-    except (ValueError, model.NoRationalPeriodError) as exc:
+    except (ValueError, OSError) as exc:  # bad input, or an output path that cannot be written
         print(f"kho: error: {exc}", file=sys.stderr)
         return EXIT_USAGE
 

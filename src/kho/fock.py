@@ -10,7 +10,9 @@ and `floquet` return them as their even block (rows and columns 0, 2, 4,
 exact zeros where m + n is odd.  Propagation applies each block to its own
 parity sector and neither builds nor applies the block of a sector without
 amplitude, which stays exactly empty: a ground state only ever meets the
-even block.
+even block.  `evolve` and `kicks_to_energy` share one kick loop and return
+one record, EvolveResult: the final state, the energy trace and the
+truncation flag.
 
 Each kick is built from one diagonalization of the real tridiagonal
 quadrature operator eta (a + a^dag) and exponentiated on its spectrum, so it
@@ -30,7 +32,8 @@ transform (I + C)^{-1} D (eigenvalues tan(theta/2) for G's e^{i theta}).
 `quasienergy_spectrum` finds O for each parity block of S by Cholesky on
 I + C and a real `eigh`; the ground overlaps are O[0, k]^2 in the even
 block and exactly 0 in the odd one, and the phases are the Rayleigh
-quotients O^T S O.
+quotients O^T S O.  A SpectrumResult holds them as two arrays, `phi` in
+ascending order and `ground_overlap` in the same order.
 
 Interior-block comparisons between operator identities use a light-cone
 block: only states whose phase-space radius sits more than a fixed buffer
@@ -48,7 +51,7 @@ import numpy as np
 from scipy.linalg import cho_factor, cho_solve, eigh, eigh_tridiagonal
 
 from . import specfun
-from .model import ResonanceKind, SystemParams, classify
+from .model import NonresonantError, ResonanceKind, SystemParams, classify
 
 DEFAULT_LEAK_TOL = 1e-8
 DEFAULT_EDGE_BUFFER = 8.0  # phase-space radius units, see interior_block
@@ -72,17 +75,10 @@ class FockVector:
 
 @dataclass
 class EvolveResult:
+    """Outcome of a propagation by `evolve` or `kicks_to_energy`."""
+
     state: FockVector
-    energies: np.ndarray  # mean energy before kick 0, 1, ..., n_kicks
-    truncation_unsafe: bool
-    first_unsafe_kick: int | None = None
-
-
-@dataclass
-class KicksToEnergyResult:
-    n_kicks: int | None  # smallest N with E(N) >= target, None if exhausted
-    reached: bool
-    energies: np.ndarray
+    energies: np.ndarray  # mean energy before kick 0, 1, ..., up to the last kick applied
     truncation_unsafe: bool
     first_unsafe_kick: int | None = None
 
@@ -115,20 +111,16 @@ class QGrid:
         return float(np.sum(self.values) * dre * dim_)
 
 
-@dataclass(frozen=True)
-class QuasienergyRecord:
-    phi: float  # eigenphase in (-pi, pi]
-    ground_overlap: float  # |<eigvec|0>|^2
-
-
 @dataclass
 class SpectrumResult:
-    records: list[QuasienergyRecord]
+    """Eigenphases of F in ascending order, with the ground overlap of each."""
+
+    phi: np.ndarray  # eigenphases in (-pi, pi]
+    ground_overlap: np.ndarray  # |<eigvec|0>|^2, same order
+    params: SystemParams
+    max_unit_defect: float  # max ||mu_k| - 1| over the Rayleigh quotients
+    max_residual: float  # max ||S o_k - mu_k o_k||
     n_discarded: int = 0  # always 0: every eigenphase of the unitary F is kept
-    params: SystemParams | None = None
-    dim: int = 0
-    max_unit_defect: float = 0.0  # max ||mu_k| - 1| over the Rayleigh quotients
-    max_residual: float = 0.0  # max ||S o_k - mu_k o_k||
 
 
 def ground_state(dim: int) -> FockVector:
@@ -218,16 +210,11 @@ def _free_phases(params: SystemParams, dim: int) -> np.ndarray:
     return np.exp(-1j * (np.arange(dim) + 0.5) * params.tau)
 
 
-def build_free(params: SystemParams, dim: int) -> np.ndarray:
-    """Free half of the Floquet operator: diag e^{-i(n+1/2) tau}."""
-    return np.diag(_free_phases(params, dim))
-
-
 def floquet(params: SystemParams, dim: int,
             parities: tuple[int, ...] = (0, 1)) -> tuple[np.ndarray, ...]:
     """One-kick Floquet operator F = U_free * U_kick as its parity blocks,
     one for each of `parities`: the rows of each kick block scaled by the
-    free phases of its parity."""
+    free phases e^{-i(n+1/2) tau} of its parity."""
     free = _free_phases(params, dim)
     blocks = kick_blocks(params, dim, parities=parities)
     for s, block in zip(parities, blocks):
@@ -269,7 +256,6 @@ def amplified_kick_operator(params: SystemParams, dim: int, v: int) -> np.ndarra
         raise ValueError("v must be >= 1")
     res = classify(params.eta_sq, params.q)
     if res.kind is not ResonanceKind.RESONANT or res.b != 1:
-        from .model import NonresonantError
         raise NonresonantError(
             f"eta_sq={params.eta_sq} is not an integer multiple of the principal "
             f"resonance for q={params.q}; the amplified-kick identity needs one")
@@ -347,16 +333,15 @@ def symmetry_commutator_norm(params: SystemParams, dim: int, *gens: complex) -> 
 
 
 def _propagate(params: SystemParams, amps: np.ndarray, n_max: int,
-               e_target: float = math.inf) -> tuple[np.ndarray, np.ndarray, int | None]:
+               e_target: float = math.inf) -> EvolveResult:
     """The kick loop of `evolve` and `kicks_to_energy`: apply F up to n_max
     times, stopping after the first kick whose mean energy reaches e_target.
 
     Each parity sector is propagated by its own block of F; a sector with no
     amplitude stays exactly empty, and its block is neither built nor
     applied.  The leak is the weight on the top tenth of the basis, and on
-    the top state at least.  Returns the final amplitudes, the mean
-    energies before kick 0, 1, ..., and the first kick whose leak exceeds
-    DEFAULT_LEAK_TOL (None if none did).
+    the top state at least; the first kick whose leak exceeds
+    DEFAULT_LEAK_TOL flags the result unsafe.
     """
     dim = amps.shape[0]
     tail = dim - max(dim // 10, 1)
@@ -386,7 +371,9 @@ def _propagate(params: SystemParams, amps: np.ndarray, n_max: int,
     out = np.zeros(dim, dtype=complex)
     for (s, *_), psi in zip(sectors, psis):
         out[s::2] = psi
-    return out, energies[:k + 1], first_unsafe
+    return EvolveResult(state=FockVector(out), energies=energies[:k + 1],
+                        truncation_unsafe=first_unsafe is not None,
+                        first_unsafe_kick=first_unsafe)
 
 
 def evolve(state: FockVector, params: SystemParams, n_kicks: int) -> EvolveResult:
@@ -395,21 +382,15 @@ def evolve(state: FockVector, params: SystemParams, n_kicks: int) -> EvolveResul
     A truncation leak beyond DEFAULT_LEAK_TOL flags the run unsafe; evolution
     continues and the flagged result is returned.
     """
-    amps, energies, first_unsafe = _propagate(params, state.amps, n_kicks)
-    return EvolveResult(state=FockVector(amps), energies=energies,
-                        truncation_unsafe=first_unsafe is not None,
-                        first_unsafe_kick=first_unsafe)
+    return _propagate(params, state.amps, n_kicks)
 
 
 def kicks_to_energy(params: SystemParams, e_target: float, n_max: int,
-                    dim: int = 500) -> KicksToEnergyResult:
-    """Smallest kick count at which the ground state's mean energy reaches
-    e_target (units hbar*omega), or an exhausted result after n_max kicks."""
-    _, energies, first_unsafe = _propagate(params, ground_state(dim).amps, n_max, e_target)
-    hit = energies.size - 1 if energies[-1] >= e_target else None
-    return KicksToEnergyResult(n_kicks=hit, reached=hit is not None, energies=energies,
-                               truncation_unsafe=first_unsafe is not None,
-                               first_unsafe_kick=first_unsafe)
+                    dim: int = 500) -> EvolveResult:
+    """Evolve the ground state until its mean energy reaches e_target (units
+    hbar*omega), or for n_max kicks if it never does: the last of the
+    energies is the first to reach e_target, if any does."""
+    return _propagate(params, ground_state(dim).amps, n_max, e_target)
 
 
 def energy_crossings(energies: np.ndarray, targets: list[float]) -> list[int | None]:
@@ -489,10 +470,8 @@ def quasienergy_spectrum(params: SystemParams, dim: int) -> SpectrumResult:
     phis, overlaps = np.concatenate(phis), np.concatenate(overlaps)
     phis[phis == -math.pi] = math.pi  # keep phases in (-pi, pi]
     order = np.argsort(phis, kind="stable")
-    records = [QuasienergyRecord(float(p), float(o))
-               for p, o in zip(phis[order], overlaps[order])]
-    return SpectrumResult(records, params=params, dim=dim, max_residual=max_residual,
-                          max_unit_defect=max_defect)
+    return SpectrumResult(phis[order], overlaps[order], params=params,
+                          max_unit_defect=max_defect, max_residual=max_residual)
 
 
 def band_max_gap(result: SpectrumResult, band: str = "uppermost") -> float:
@@ -504,9 +483,8 @@ def band_max_gap(result: SpectrumResult, band: str = "uppermost") -> float:
     params = result.params
     centers = np.angle(np.exp(-1j * (np.arange(params.q) + 0.5) * params.tau))
     center = np.max(centers) if band == "uppermost" else float(band)
-    phis = np.array([rec.phi for rec in result.records])
-    dist = np.abs(np.angle(np.exp(1j * (phis - center))))
-    sel = np.sort(phis[dist < params.tau / 4.0])
+    dist = np.abs(np.angle(np.exp(1j * (result.phi - center))))
+    sel = result.phi[dist < params.tau / 4.0]
     if sel.size < 2:
         raise ValueError("fewer than two eigenphases in the requested band")
     return float(np.max(np.diff(sel)))

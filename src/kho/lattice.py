@@ -13,23 +13,27 @@ contributes to (-n0, m0 + xi_q*n0 + k) with weight i^k J_k(zeta)
 e^{+i k n0 eta^2 sin(2 pi/q)} -- the same substitution m' = -n,
 n' = m + n*xi_q + k read in the opposite direction.
 
-The derivation fixes r = 1; `step` refuses anything else.  At quantum
-resonance the phase factors collapse to signs and the evolution reduces to
-cyclically growing Bessel arguments (analytic_q4 for q = 4; a three-step
-cycle evaluated by analytic_q6_cycle for q = 6).
+A LatticeState carries its system as a model.SystemParams.  The derivation
+fixes r = 1 and needs a crystal kick-axis set, q in {3, 4, 6}; the state
+refuses anything else, so every state `step` sees, one read by `from_json`
+included, is valid.  At quantum resonance the phase factors collapse to
+signs and the evolution reduces to cyclically growing Bessel arguments
+(analytic_q4 for q = 4; a three-step cycle evaluated by analytic_q6_cycle
+for q = 6, which asks model.classify whether eta^2 is an odd multiple of
+the principal resonance).
 """
 
 from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from . import specfun
 from .fock import FockVector
-from .model import NonresonantError, SystemParams
+from .model import NonresonantError, ResonanceKind, SystemParams, classify
 
 #: integer xi_q from decomposing e^{-i 4 pi/q} over {1, e^{-i 2 pi/q}}
 XI_Q = {3: -1, 4: 0, 6: 1}
@@ -44,14 +48,14 @@ _KEY_OFFSET = 1 << 31  # shifts a lattice index into the low 32 bits of a step k
 class LatticeState:
     alpha: complex  # coherent amplitude at the lattice center
     j: int  # kicks applied so far
-    q: int
-    eta: float
-    zeta: float
-    coeffs: dict[tuple[int, int], complex] = field(default_factory=dict)
+    params: SystemParams
+    coeffs: dict[tuple[int, int], complex]
 
-    @property
-    def eta_sq(self) -> float:
-        return self.eta * self.eta
+    def __post_init__(self):
+        if self.params.r != 1:
+            raise ValueError("the lattice mapping is derived for r = 1 only")
+        if self.params.q not in XI_Q:
+            raise ValueError(f"lattice evolution needs q in {sorted(XI_Q)}, got q={self.params.q}")
 
 
 @dataclass
@@ -61,20 +65,9 @@ class ConversionResult:
     reliable: bool
 
 
-def init_coherent(alpha: complex, q: int, eta: float, zeta: float) -> LatticeState:
-    """Lattice state for a bare coherent state |alpha>: M[0] = delta_m0 delta_n0."""
-    if q not in XI_Q:
-        raise ValueError(f"lattice evolution needs q in {sorted(XI_Q)}, got q={q}")
-    if eta <= 0:
-        raise ValueError("eta must be positive")
-    return LatticeState(alpha=complex(alpha), j=0, q=q, eta=eta, zeta=zeta,
-                        coeffs={(0, 0): 1.0 + 0.0j})
-
-
 def from_params(alpha: complex, params: SystemParams) -> LatticeState:
-    if params.r != 1:
-        raise ValueError("the lattice mapping is derived for r = 1 only")
-    return init_coherent(alpha, params.q, params.eta, params.zeta)
+    """Lattice state for a bare coherent state |alpha>: M[0] = delta_m0 delta_n0."""
+    return LatticeState(alpha=complex(alpha), j=0, params=params, coeffs={(0, 0): 1.0 + 0.0j})
 
 
 def step(state: LatticeState, eps: float = EPS_LAT) -> LatticeState:
@@ -84,12 +77,13 @@ def step(state: LatticeState, eps: float = EPS_LAT) -> LatticeState:
     summed per target by one scatter-add, in source order; coefficients
     below eps are dropped after the full accumulation.
     """
-    xi = XI_Q[state.q]
-    kc = specfun.k_cutoff(state.zeta)
+    params = state.params
+    xi = XI_Q[params.q]
+    kc = specfun.k_cutoff(params.zeta)
     k = np.arange(-kc, kc + 1)
     # i^k J_k(zeta), k = -kc..kc
-    wk = _I_POWERS[k % 4] * specfun.bessel_range(state.zeta, -kc, kc)
-    w = state.eta_sq * math.sin(2.0 * math.pi / state.q)
+    wk = _I_POWERS[k % 4] * specfun.bessel_range(params.zeta, -kc, kc)
+    w = params.eta_sq * math.sin(2.0 * math.pi / params.q)
     keys = np.array(list(state.coeffs), dtype=np.int64).reshape(-1, 2)
     vals = np.fromiter(state.coeffs.values(), complex, len(state.coeffs))
     m0, n0 = keys[:, :1], keys[:, 1:]
@@ -105,8 +99,7 @@ def step(state: LatticeState, eps: float = EPS_LAT) -> LatticeState:
     m_new, n_new = np.divmod(uniq[keep], 1 << 32)
     new = dict(zip(zip(m_new.tolist(), (n_new - _KEY_OFFSET).tolist()),
                    sums[keep].tolist()))
-    return LatticeState(alpha=state.alpha, j=state.j + 1, q=state.q,
-                        eta=state.eta, zeta=state.zeta, coeffs=new)
+    return LatticeState(alpha=state.alpha, j=state.j + 1, params=params, coeffs=new)
 
 
 def steps(state: LatticeState, n: int, eps: float = EPS_LAT) -> LatticeState:
@@ -158,21 +151,6 @@ def phase_pattern(n_kicks: int, m, n):
     return (1 - 2 * ((m * n) % 2)) * _I_POWERS[(m + n) % 4]
 
 
-def _q6_parity_check(state: LatticeState) -> int:
-    """Resonance check for the q = 6 cycle; returns the multiple w with
-    eta^2 = w * 2 pi / sqrt(3), requiring w odd (the sign structure
-    (-1)^{...} of the cycle assumes e^{-i k m eta^2 sin(2pi/6)} = (-1)^{k m})."""
-    w = state.eta_sq * math.sqrt(3.0) / (2.0 * math.pi)
-    w_int = round(w)
-    if abs(w - w_int) > 1e-9 or w_int < 1:
-        raise NonresonantError(
-            f"eta_sq={state.eta_sq} is not a multiple of 2*pi/sqrt(3)")
-    if w_int % 2 == 0:
-        raise NonresonantError(
-            "the q=6 doubling cycle is implemented for odd multiples of 2*pi/sqrt(3)")
-    return w_int
-
-
 def q6_triple_sum(zeta_eff: float, m, n):
     """Coefficient of the resonant q = 6 evolution at a cycle point as the
     triple Bessel sum
@@ -201,15 +179,20 @@ def analytic_q6_cycle(state: LatticeState, eps: float = EPS_LAT) -> LatticeState
     The coefficients at 3(j+1) are the kick-3 triple sums with every Bessel
     argument scaled to (j+1) * zeta: each cycle folds one more mapping
     J(zeta) into the state arguments via the addition theorem, mirroring the
-    q = 4 linear growth.
+    q = 4 linear growth.  eta^2 must be an odd multiple of the principal
+    resonance 2 pi / sqrt(3): the sign structure (-1)^{...} of the cycle
+    assumes e^{-i k m eta^2 sin(2pi/6)} = (-1)^{k m}.
     """
-    if state.q != 6:
+    params = state.params
+    if params.q != 6:
         raise ValueError("the three-step cycle applies to q = 6")
     if state.j % 3 != 0:
         raise ValueError(f"state must sit on the cycle (j divisible by 3), got j={state.j}")
-    _q6_parity_check(state)
-    cycles = state.j // 3
-    zeff = state.zeta * (cycles + 1)
+    res = classify(params.eta_sq, 6)
+    if res.kind is not ResonanceKind.RESONANT or res.b != 1 or res.a % 2 == 0:
+        raise NonresonantError(f"eta_sq={params.eta_sq} is not an odd multiple of 2*pi/sqrt(3), "
+                               "which the q=6 three-step cycle needs")
+    zeff = params.zeta * (state.j // 3 + 1)
     kc = specfun.k_cutoff(zeff)
     ms, ns = np.meshgrid(np.arange(-3 * kc, 3 * kc + 1), np.arange(-2 * kc, 2 * kc + 1),
                          indexing="ij")
@@ -217,8 +200,7 @@ def analytic_q6_cycle(state: LatticeState, eps: float = EPS_LAT) -> LatticeState
     keep = np.abs(vals) >= eps
     coeffs = {(int(m), int(n)): complex(v)
               for m, n, v in zip(ms[keep], ns[keep], vals[keep])}
-    return LatticeState(alpha=state.alpha, j=state.j + 3, q=state.q,
-                        eta=state.eta, zeta=state.zeta, coeffs=coeffs)
+    return LatticeState(alpha=state.alpha, j=state.j + 3, params=params, coeffs=coeffs)
 
 
 def to_fock(state: LatticeState, dim: int) -> ConversionResult:
@@ -233,7 +215,7 @@ def to_fock(state: LatticeState, dim: int) -> ConversionResult:
     """
     if not state.coeffs:
         raise ValueError("empty coefficient map")
-    q = state.q
+    q = state.params.q
     omega = np.exp(-2j * np.pi / q)
     alpha_j = state.alpha * omega ** state.j
     global_phase = np.exp(-1j * np.pi * state.j / q)
@@ -241,7 +223,7 @@ def to_fock(state: LatticeState, dim: int) -> ConversionResult:
     ms = np.array([k[0] for k, _ in items])
     ns = np.array([k[1] for k, _ in items])
     vals = np.array([v for _, v in items])
-    betas = 1j * state.eta * (ms + ns * omega)
+    betas = 1j * state.params.eta * (ms + ns * omega)
     pref = vals * np.exp((betas * np.conj(alpha_j) - np.conj(betas) * alpha_j) / 2.0)
     pref *= global_phase
     psi = np.array([pref @ c_n for c_n in specfun.coherent_fock(betas + alpha_j, dim)])
@@ -263,31 +245,25 @@ def support_radius(state: LatticeState) -> int:
 
 
 def to_json(state: LatticeState) -> str:
+    params = state.params
     payload = {
         "alpha_re": state.alpha.real,
         "alpha_im": state.alpha.imag,
         "j": state.j,
-        "q": state.q,
-        "eta": state.eta,
-        "zeta": state.zeta,
+        "r": params.r,
+        "q": params.q,
+        "kappa": params.kappa,
+        "eta_sq": params.eta_sq,
         "coeffs": [[m, n, v.real, v.imag] for (m, n), v in sorted(state.coeffs.items())],
     }
     return json.dumps(payload)
 
 
 def from_json(text: str) -> LatticeState:
+    """Inverse of to_json; ValueError for a system the lattice route cannot take."""
     d = json.loads(text)
+    params = SystemParams(r=int(d["r"]), q=int(d["q"]), kappa=float(d["kappa"]),
+                          eta_sq=float(d["eta_sq"]))
     coeffs = {(int(m), int(n)): complex(re, im) for m, n, re, im in d["coeffs"]}
     return LatticeState(alpha=complex(d["alpha_re"], d["alpha_im"]), j=int(d["j"]),
-                        q=int(d["q"]), eta=float(d["eta"]), zeta=float(d["zeta"]),
-                        coeffs=coeffs)
-
-
-def save_state(state: LatticeState, path) -> None:
-    with open(path, "w") as fh:
-        fh.write(to_json(state))
-
-
-def load_state(path) -> LatticeState:
-    with open(path) as fh:
-        return from_json(fh.read())
+                        params=params, coeffs=coeffs)

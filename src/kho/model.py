@@ -123,14 +123,14 @@ class ResonanceClass:
         return {"kind": self.kind.value, "a": self.a, "b": self.b, "principal": self.principal}
 
 
-def reduce(p: PhysicalParams, r: int | None = None, q: int | None = None,
-           tol: float = DEFAULT_RATIONAL_TOL) -> SystemParams:
+def reduce(p: PhysicalParams, r: int | None = None, q: int | None = None) -> SystemParams:
     """Map laboratory parameters to the dimensionless (r, q, kappa, eta^2).
 
     kappa = hbar*Omega^2*t_p*K^2 / (8*sqrt(2)*Delta*M*omega),
     eta^2 = K^2*hbar / (2*M*omega), tau = omega*T.  The kick period must
     rationally divide the oscillator period: tau = 2*pi*r/q.  Supply (r, q)
-    explicitly or let the smallest q <= Q_MAX_PERIOD within `tol` be found.
+    explicitly or let the smallest q <= Q_MAX_PERIOD within DEFAULT_RATIONAL_TOL
+    be found.
     """
     omega = p.trap_frequency
     tau = omega * p.kick_period
@@ -140,19 +140,19 @@ def reduce(p: PhysicalParams, r: int | None = None, q: int | None = None,
     if (r is None) != (q is None):
         raise ValueError("supply both r and q, or neither")
     if r is None:
-        r, q = _rational_period(tau, tol)
-    elif abs(tau - 2.0 * math.pi * r / q) > tol:
+        r, q = _rational_period(tau)
+    elif abs(tau - 2.0 * math.pi * r / q) > DEFAULT_RATIONAL_TOL:
         raise NoRationalPeriodError(
-            f"omega*T = {tau} is not within {tol} of 2*pi*{r}/{q}")
+            f"omega*T = {tau} is not within {DEFAULT_RATIONAL_TOL} of 2*pi*{r}/{q}")
     return SystemParams(r=r, q=q, kappa=kappa, eta_sq=eta_sq)
 
 
-def _rational_period(tau: float, tol: float) -> tuple[int, int]:
+def _rational_period(tau: float) -> tuple[int, int]:
     for q in range(1, Q_MAX_PERIOD + 1):
         r = round(tau * q / (2.0 * math.pi))
         if r < 1 or math.gcd(r, q) != 1:
             continue
-        if abs(tau - 2.0 * math.pi * r / q) <= tol:
+        if abs(tau - 2.0 * math.pi * r / q) <= DEFAULT_RATIONAL_TOL:
             return r, q
     raise NoRationalPeriodError(
         f"omega*T = {tau} has no rational decomposition 2*pi*r/q with q <= {Q_MAX_PERIOD}")
@@ -203,18 +203,18 @@ def commutation_phase(eta_sq: float, q: int, r: int, k_m: int, k_n: int, dj: int
     return complex(math.cos(arg), -math.sin(arg))
 
 
-def classify(eta_sq: float, q: int, tol: float = DEFAULT_RATIONAL_TOL,
-             b_max: int = B_MAX_RESONANCE) -> ResonanceClass:
+def classify(eta_sq: float, q: int) -> ResonanceClass:
     """Classify eta^2 as a rational multiple a/b of the principal resonance
-    value (continued-fraction detection) or as nonresonant."""
+    value, b <= B_MAX_RESONANCE within DEFAULT_RATIONAL_TOL (continued-fraction
+    detection), or as nonresonant."""
     if eta_sq <= 0:
         raise ValueError("eta_sq must be positive")
     base = resonant_values(q)
     if base.kind is not ResonanceKind.RESONANT:
         return base
     ratio = eta_sq / base.principal
-    frac = Fraction(ratio).limit_denominator(b_max)
-    if frac.numerator >= 1 and abs(ratio - float(frac)) < tol:
+    frac = Fraction(ratio).limit_denominator(B_MAX_RESONANCE)
+    if frac.numerator >= 1 and abs(ratio - float(frac)) < DEFAULT_RATIONAL_TOL:
         return ResonanceClass(kind=ResonanceKind.RESONANT, a=frac.numerator,
                               b=frac.denominator, principal=base.principal)
     return ResonanceClass(kind=ResonanceKind.NONRESONANT, principal=base.principal)

@@ -116,14 +116,14 @@ def graf_geometry(zeta: float, alpha: float) -> GrafGeometry:
     return GrafGeometry(zeta=zeta, alpha=alpha, zeta_prime=zeta_prime, chi=chi)
 
 
-def graf_sum(n: int, zeta: float, alpha: float, k_max: int | None = None) -> complex:
+def graf_sum(n: int, zeta: float, alpha: float) -> complex:
     """Truncated sum_{k} J_{n+k}(zeta) J_k(zeta) e^{i k alpha}.
 
     Equals J_n(zeta') e^{i n chi} with (zeta', chi) = graf_geometry(zeta,
-    alpha); the default k_max keeps every dropped term below 1e-15.
+    alpha); the truncation |k| <= k_cutoff(zeta, 1e-15) + |n| keeps every
+    dropped term below 1e-15.
     """
-    if k_max is None:
-        k_max = k_cutoff(zeta, 1e-15) + abs(n)
+    k_max = k_cutoff(zeta, 1e-15) + abs(n)
     ks = np.arange(-k_max, k_max + 1)
     jk = bessel_range(zeta, -k_max, k_max)
     jnk = bessel_range(zeta, n - k_max, n + k_max)

@@ -20,6 +20,15 @@ from . import fock, lattice, model, specfun
 
 GOLDEN = model.GOLDEN_RATIO
 
+#: the resonant q = 4 system of the acceptance checks
+Q4 = model.SystemParams(r=1, q=4, kappa=-0.8, eta_sq=math.pi)
+#: (tag, system) at the principal resonance and at phi*pi for each crystal q,
+#: the cases of the cross-representation and commutator checks
+CRYSTAL_CASES = tuple(
+    (tag, model.SystemParams(r=1, q=q, kappa=-0.8, eta_sq=eta_sq))
+    for q in model.CRYSTAL_Q
+    for tag, eta_sq in (("principal", model.principal_value(q)), ("phi*pi", GOLDEN * math.pi)))
+
 
 @dataclass
 class CheckResult:
@@ -87,39 +96,36 @@ def check_graf_closure() -> CheckResult:
 
 def check_axis_product() -> CheckResult:
     t0 = time.perf_counter()
-    params = model.SystemParams(r=1, q=4, kappa=-0.8, eta_sq=math.pi)
-    fq = fock.floquet_power(params, 128, params.q)
-    prod = fock.kick_axis_product(params, 128)
+    fq = fock.floquet_power(Q4, 128, Q4.q)
+    prod = fock.kick_axis_product(Q4, 128)
     return _check("q-axis product vs F^q (D=128, full matrix)",
                   float(np.abs(fq - prod).max()), 1e-8, t0)
 
 
 def check_kick_expansion() -> CheckResult:
     t0 = time.perf_counter()
-    params = model.SystemParams(r=1, q=4, kappa=-0.8, eta_sq=math.pi)
     block = fock.interior_block(256)
-    spectral = fock.build_kick(params, 256)
+    spectral = fock.build_kick(Q4, 256)
     # the expansion's leading block x block entries do not depend on its size
-    expansion = fock.kick_expansion_matrix(params, block)
+    expansion = fock.kick_expansion_matrix(Q4, block)
     return _check(f"kick spectral vs displacement expansion (D=256, block={block})",
                   fock.interior_max(spectral[:block, :block] - expansion, block), 1e-8, t0)
 
 
-def _q4_lattice(n_kicks: int) -> tuple[model.SystemParams, lattice.LatticeState]:
-    """The resonant q = 4 system and its ground state after n_kicks kicks."""
-    params = model.SystemParams(r=1, q=4, kappa=-0.8, eta_sq=math.pi)
-    return params, lattice.steps(lattice.from_params(0.0, params), n_kicks)
+def _q4_lattice(n_kicks: int) -> lattice.LatticeState:
+    """The ground state of Q4 after n_kicks kicks."""
+    return lattice.steps(lattice.from_params(0.0, Q4), n_kicks)
 
 
 def check_mapping_vs_analytic() -> CheckResult:
     t0 = time.perf_counter()
-    params, state = _q4_lattice(2)
+    state = _q4_lattice(2)
     box = range(-12, 13)
     ms, ns = np.array(box)[:, None], np.array(box)
     worst = 0.0
     for n_kicks in range(2, 9):
         got = np.array([[state.coeffs.get((m, n), 0.0) for n in box] for m in box])
-        want = lattice.analytic_q4(n_kicks, params.zeta, ms, ns)
+        want = lattice.analytic_q4(n_kicks, Q4.zeta, ms, ns)
         worst = max(worst, float(np.abs(got - want).max()))
         if n_kicks < 8:
             state = lattice.step(state)
@@ -145,13 +151,13 @@ def check_phase_pattern() -> CheckResult:
     quotient form |M / (J_m J_n) - pattern| by measured / d; the quotient
     itself is ill-conditioned near Bessel zeros."""
     t0 = time.perf_counter()
-    params, state = _q4_lattice(2)
+    state = _q4_lattice(2)
     worst = 0.0
     for n_kicks in range(2, 9):
         ms, ns = np.array(list(state.coeffs)).T
         vals = np.fromiter(state.coeffs.values(), complex, len(state.coeffs))
         worst = max(worst, float(np.abs(
-            vals - lattice.analytic_q4(n_kicks, params.zeta, ms, ns)).max()))
+            vals - lattice.analytic_q4(n_kicks, Q4.zeta, ms, ns)).max()))
         if n_kicks < 8:
             state = lattice.step(state)
     return _check("resonant phase pattern (-1)^{mn} i^{m+n}", worst, 1e-10, t0)
@@ -159,27 +165,26 @@ def check_phase_pattern() -> CheckResult:
 
 def cross_representation_fidelity(params: model.SystemParams,
                                   state: lattice.LatticeState, dim: int) -> float:
-    """Fidelity between the Fock-propagated ground state and the lattice
-    state after the same number of kicks, both in a dim-state basis."""
+    """Fidelity between the ground state propagated by params on the Fock
+    route and the lattice state after the same number of kicks, both in a
+    dim-state basis.  params is given apart from state.params, so a lattice
+    state built for another system fails the check."""
     ev = fock.evolve(fock.ground_state(dim), params, state.j)
     return fock.fidelity(ev.state, lattice.to_fock(state, dim).state)
 
 
 def check_cross_representation() -> list[CheckResult]:
     out = []
-    for q in (3, 4, 6):
-        for tag, eta_sq in (("principal", model.principal_value(q)),
-                            ("phi*pi", GOLDEN * math.pi)):
-            t0 = time.perf_counter()
-            params = model.SystemParams(r=1, q=q, kappa=-0.8, eta_sq=eta_sq)
-            # the lattice state does not depend on D: one evolution per case
-            state = lattice.steps(lattice.from_params(0.0, params), 12)
-            res = fock.doubling_rule(
-                lambda d: cross_representation_fidelity(params, state, d), start=256)
-            out.append(_check(
-                f"fock/lattice fidelity q={q} eta2={tag} N=12 (D={res.dim})",
-                res.value, 0.999, t0, larger_is_better=True,
-                note="" if res.converged else "doubling rule not converged"))
+    for tag, params in CRYSTAL_CASES:
+        t0 = time.perf_counter()
+        # the lattice state does not depend on D: one evolution per case
+        state = lattice.steps(lattice.from_params(0.0, params), 12)
+        res = fock.doubling_rule(
+            lambda d: cross_representation_fidelity(params, state, d), start=256)
+        out.append(_check(
+            f"fock/lattice fidelity q={params.q} eta2={tag} N=12 (D={res.dim})",
+            res.value, 0.999, t0, larger_is_better=True,
+            note="" if res.converged else "doubling rule not converged"))
     return out
 
 
@@ -200,15 +205,12 @@ def check_amplified(cases=((4, 2), (4, 3), (3, 2)), dim: int = 256) -> list[Chec
 
 def check_commutators(dim: int = 512) -> list[CheckResult]:
     out = []
-    for q in (3, 4, 6):
-        for tag, eta_sq in (("principal", model.principal_value(q)),
-                            ("phi*pi", GOLDEN * math.pi)):
-            t0 = time.perf_counter()
-            params = model.SystemParams(r=1, q=q, kappa=-0.8, eta_sq=eta_sq)
-            gens = model.symmetry_generators(q, params.eta, "gamma")
-            worst = fock.symmetry_commutator_norm(params, dim, *gens)
-            out.append(_check(
-                f"[F^q, D(gamma)] q={q} eta2={tag} (D={dim})", worst, 1e-6, t0))
+    for tag, params in CRYSTAL_CASES:
+        t0 = time.perf_counter()
+        gens = model.symmetry_generators(params.q, params.eta, "gamma")
+        worst = fock.symmetry_commutator_norm(params, dim, *gens)
+        out.append(_check(
+            f"[F^q, D(gamma)] q={params.q} eta2={tag} (D={dim})", worst, 1e-6, t0))
     return out
 
 
@@ -217,9 +219,11 @@ def check_state_roundtrip() -> CheckResult:
     params = model.SystemParams(r=1, q=4, kappa=-0.8, eta_sq=GOLDEN * math.pi)
     state = lattice.steps(lattice.from_params(0.25 + 0.1j, params), 3)
     back = lattice.from_json(lattice.to_json(state))
-    worst = 0.0 if back == state else max(
-        abs(state.coeffs.get(k, 0) - back.coeffs.get(k, 0))
-        for k in set(state.coeffs) | set(back.coeffs))
+    if (back.alpha, back.j, back.params) != (state.alpha, state.j, state.params):
+        worst = math.inf  # equal coefficients do not make up for a lost center, j or system
+    else:
+        worst = max(abs(state.coeffs.get(k, 0) - back.coeffs.get(k, 0))
+                    for k in set(state.coeffs) | set(back.coeffs))
     return _check("lattice state JSON roundtrip", worst, 0.0, t0)
 
 
@@ -239,8 +243,7 @@ def run(level: str = "quick") -> list[CheckResult]:
     ]
     if level == "quick":
         t0 = time.perf_counter()
-        params, state = _q4_lattice(12)
-        fid = cross_representation_fidelity(params, state, 512)
+        fid = cross_representation_fidelity(Q4, _q4_lattice(12), 512)
         checks.append(_check("fock/lattice fidelity q=4 N=12 (D=512)", fid, 0.999,
                              t0, larger_is_better=True))
         checks.extend(check_amplified(cases=((4, 2),), dim=128))

@@ -66,9 +66,10 @@ def gather_step(state: LatticeState, span: int) -> dict:
 
     over the full target box |m|, |n| <= span.
     """
-    xi = XI_Q[state.q]
-    kc = specfun.k_cutoff(state.zeta)
-    w = state.eta_sq * math.sin(2.0 * math.pi / state.q)
+    params = state.params
+    xi = XI_Q[params.q]
+    kc = specfun.k_cutoff(params.zeta)
+    w = params.eta_sq * math.sin(2.0 * math.pi / params.q)
     out = {}
     for m in range(-span, span + 1):
         for n in range(-span, span + 1):
@@ -78,7 +79,7 @@ def gather_step(state: LatticeState, span: int) -> dict:
                 if src is None:
                     continue
                 phase = complex(math.cos(k * m * w), -math.sin(k * m * w))
-                total += (1j) ** k * specfun.bessel_j(k, state.zeta) * src * phase
+                total += (1j) ** k * specfun.bessel_j(k, params.zeta) * src * phase
             if total != 0:
                 out[(m, n)] = total
     return out

@@ -132,10 +132,10 @@ def test_criterion_08_kick_count_minima():
     hbar*omega; a local minimum within one grid point of pi/2."""
     t0 = time.time()
     grid = np.linspace(0.4 * math.pi, 1.6 * math.pi, 61)
-    payloads = [(i, float(e), 4, 1, -0.8, 500, 2000) for i, e in enumerate(grid)]
+    payloads = [(SystemParams(r=1, q=4, kappa=-0.8, eta_sq=float(e)), 500, 2000) for e in grid]
     results = cli._map_points(cli._energy_scan_point, payloads, THREADS)
     kicks = {50.0: np.full(61, np.inf), 200.0: np.full(61, np.inf)}
-    for idx, (k50, k200), _unsafe in results:
+    for idx, ((k50, k200), _unsafe) in enumerate(results):
         if k50 is not None:
             kicks[50.0][idx] = k50
         if k200 is not None:

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import math
 import os
@@ -271,12 +272,21 @@ class TestVerify:
 
     def test_skewed_zeta_fails_cross_representation(self, capsys, monkeypatch):
         # a lattice route 5% off in zeta must fail the fidelity check
-        init = lattice.init_coherent
-        monkeypatch.setattr(lattice, "init_coherent",
-                            lambda alpha, q, eta, zeta: init(alpha, q, eta, 1.05 * zeta))
+        from_params = lattice.from_params
+        monkeypatch.setattr(lattice, "from_params", lambda alpha, params: from_params(
+            alpha, dataclasses.replace(params, kappa=1.05 * params.kappa)))
         assert main(["verify", "--verify-level", "quick"]) == cli.EXIT_VERIFY
         out = capsys.readouterr().out
         assert any("FAIL" in ln and "fidelity" in ln for ln in out.splitlines())
+
+
+    @pytest.mark.parametrize("lost", [{"alpha": 0j}, {"j": 0},
+                                      {"params": verify.Q4}])
+    def test_roundtrip_check_sees_more_than_coefficients(self, monkeypatch, lost):
+        from_json = lattice.from_json
+        monkeypatch.setattr(lattice, "from_json",
+                            lambda text: dataclasses.replace(from_json(text), **lost))
+        assert not verify.check_state_roundtrip().passed
 
 
 class TestUsageErrors:
@@ -342,3 +352,19 @@ class TestUsageErrors:
         err = capsys.readouterr().err
         assert "kho: error:" in err
         assert "Traceback" not in err
+
+    @pytest.mark.parametrize("argv", [
+        ["evolve", "--dim", "32", "--kicks", "1", "--out", "{missing}/x.csv"],
+        ["evolve", "--dim", "32", "--kicks", "1", "--out", "{tmp}/x.csv",
+         "--state-out", "{missing}/s.json"],
+        ["resonances", "--out", "{missing}/r.json"],
+        ["qfunc", "--dim", "32", "--out", "{file}"],  # panel mode needs a directory
+    ])
+    def test_unwritable_output_is_clean_usage_error(self, tmp_path, capsys, argv):
+        (tmp_path / "file").write_text("")
+        paths = {"missing": tmp_path / "missing", "tmp": tmp_path, "file": tmp_path / "file"}
+        code = main([arg.format(**paths) for arg in argv])
+        assert code == cli.EXIT_USAGE
+        err = capsys.readouterr().err
+        assert "kho: error:" in err
+        assert not (tmp_path / "missing").exists()

@@ -45,24 +45,6 @@ class TestBuildKick:
         assert fock.interior_max(diff, fock.interior_block(dim)) < 1e-8
 
 
-class TestBuildFree:
-    def test_full_period_phase(self):
-        p = SystemParams(r=1, q=1, kappa=-0.8, eta_sq=math.pi)  # tau = 2 pi
-        u = fock.build_free(p, 16)
-        assert np.abs(np.diag(u) + 1.0).max() < 1e-12
-
-    def test_quarter_period_ground_phase(self):
-        u = fock.build_free(params_q4(), 4)
-        assert u[0, 0] == pytest.approx(np.exp(-1j * math.pi / 4))
-
-    def test_zero_tau_identity(self):
-        # tau = 0 is not reachable through SystemParams (r >= 1); check the
-        # diagonal formula directly at an equivalent 2*pi*r multiple instead
-        p = SystemParams(r=2, q=1, kappa=0.0, eta_sq=1.0)  # tau = 4 pi
-        u = fock.build_free(p, 8)
-        assert np.abs(np.diag(u) - np.exp(-1j * (np.arange(8) + 0.5) * 4 * math.pi)).max() < 1e-10
-
-
 class TestFloquet:
     def test_unitary_everywhere(self):
         f = fock.floquet_power(params_q4(), 256, 1)
@@ -169,10 +151,12 @@ class TestParity:
             res = fock.kicks_to_energy(p, target, n_max, dim=dim)
             _, energies, first_unsafe = evolve_dense(fock.ground_state(dim).amps, p, n_max)
             want = fock.energy_crossings(energies, [target])[0]
-            assert res.n_kicks == want
+            assert fock.energy_crossings(res.energies, [target])[0] == want
             assert res.energies.size == (n_max if want is None else want) + 1
             assert np.abs(res.energies - energies[:res.energies.size]).max() < 1e-12 * target
             stop = res.energies.size - 1
+            amps = evolve_dense(fock.ground_state(dim).amps, p, stop)[0]
+            assert np.abs(res.state.amps - amps).max() < 1e-12
             assert res.first_unsafe_kick == (
                 first_unsafe if first_unsafe is not None and first_unsafe <= stop else None)
 
@@ -292,20 +276,24 @@ class TestQFunction:
 class TestKicksToEnergy:
     def test_ground_already_at_half(self):
         res = fock.kicks_to_energy(params_q4(), 0.5, 10, dim=64)
-        assert res.n_kicks == 0 and res.reached
+        assert res.energies.tolist() == [0.5]
+        assert np.array_equal(res.state.amps, fock.ground_state(64).amps)
 
     def test_exhausted(self):
         res = fock.kicks_to_energy(params_q4(kappa=0.0), 5.0, 8, dim=64)
-        assert res.n_kicks is None and not res.reached
+        assert fock.energy_crossings(res.energies, [5.0]) == [None]
         assert len(res.energies) == 9
 
     def test_crossings_match_evolve_trace(self):
         p = params_q4()
         res = fock.kicks_to_energy(p, 10.0, 200, dim=256)
-        ev = fock.evolve(fock.ground_state(256), p, res.n_kicks)
-        assert ev.energies[res.n_kicks] >= 10.0
-        assert np.all(ev.energies[:res.n_kicks] < 10.0)
-        assert fock.energy_crossings(ev.energies, [10.0]) == [res.n_kicks]
+        n_kicks = res.energies.size - 1
+        ev = fock.evolve(fock.ground_state(256), p, n_kicks)
+        assert ev.energies[n_kicks] >= 10.0
+        assert np.all(ev.energies[:n_kicks] < 10.0)
+        assert fock.energy_crossings(ev.energies, [10.0]) == [n_kicks]
+        assert np.array_equal(res.state.amps, ev.state.amps)
+        assert np.array_equal(res.energies, ev.energies)
 
 
 class TestQuasienergy:
@@ -314,8 +302,7 @@ class TestQuasienergy:
         res = fock.quasienergy_spectrum(p, 64)
         assert res.n_discarded == 0
         want = sorted(float(np.angle(np.exp(-1j * (n + 0.5) * p.tau))) for n in range(64))
-        got = [rec.phi for rec in res.records]
-        assert np.abs(np.array(got) - np.array(want)).max() < 1e-12
+        assert np.abs(res.phi - np.array(want)).max() < 1e-12
 
     def test_free_spectrum_ground_overlap_nondegenerate(self):
         # q = 64 at D = 64 keeps all free phases distinct, so eigenvectors
@@ -323,17 +310,17 @@ class TestQuasienergy:
         p = SystemParams(r=1, q=64, kappa=0.0, eta_sq=math.pi)
         res = fock.quasienergy_spectrum(p, 64)
         phi0 = float(np.angle(np.exp(-1j * 0.5 * p.tau)))
-        for rec in res.records:
-            if abs(rec.phi - phi0) < 1e-12:
-                assert rec.ground_overlap == pytest.approx(1.0, abs=1e-12)
+        for phi, overlap in zip(res.phi, res.ground_overlap):
+            if abs(phi - phi0) < 1e-12:
+                assert overlap == pytest.approx(1.0, abs=1e-12)
             else:
-                assert rec.ground_overlap < 1e-12
+                assert overlap < 1e-12
 
     def test_unit_modulus(self):
         res = fock.quasienergy_spectrum(params_q4(), 128)
         assert res.n_discarded == 0
         assert res.max_unit_defect < 1e-8
-        assert len(res.records) == 128
+        assert res.phi.shape == res.ground_overlap.shape == (128,)
 
     def test_band_gap_statistic(self):
         res = fock.quasienergy_spectrum(params_q4(), 128)
@@ -356,8 +343,7 @@ class TestQuasienergy:
     def test_matches_eig_oracle(self, r, q, kappa, eta_sq, dim):
         p = SystemParams(r=r, q=q, kappa=kappa, eta_sq=eta_sq)
         res = fock.quasienergy_spectrum(p, dim)
-        phis = np.array([rec.phi for rec in res.records])
-        overlaps = np.array([rec.ground_overlap for rec in res.records])
+        phis, overlaps = res.phi, res.ground_overlap
         ref_phis, ref_overlaps = quasienergy_eig(p, dim)
         assert np.all((phis > -math.pi) & (phis <= math.pi))
         assert np.all(np.diff(phis) >= 0)
@@ -397,12 +383,12 @@ class TestQuasienergy:
         assert np.abs(factored[1] + factored[0]).max() < 1e-14
         assert np.abs(factored[2] - c_first[1::2, 1::2]).max() < 1e-13
         ref_phis, _ = quasienergy_eig(p, 64)
-        assert np.abs(np.array([rec.phi for rec in res.records]) - ref_phis).max() < 1e-12
+        assert np.abs(res.phi - ref_phis).max() < 1e-12
 
     @pytest.mark.parametrize("dim", [63, 64])
     def test_odd_states_have_zero_ground_overlap(self, dim):
         res = fock.quasienergy_spectrum(params_q4(eta_sq=PHI * math.pi), dim)
-        overlaps = np.array([rec.ground_overlap for rec in res.records])
+        overlaps = res.ground_overlap
         assert len(overlaps) == dim
         assert np.count_nonzero(overlaps == 0.0) == dim // 2
         assert math.fsum(overlaps) == pytest.approx(1.0, abs=1e-12)

@@ -1,4 +1,5 @@
 import cmath
+import json
 import math
 
 import numpy as np
@@ -20,24 +21,29 @@ def params_q6():
     return SystemParams(r=1, q=6, kappa=-0.8, eta_sq=2 * math.pi / math.sqrt(3))
 
 
+def params_for_zeta(q, eta_sq, zeta):
+    """The r = 1 system whose kick strength gives zeta = -kappa/(sqrt(2) eta^2)."""
+    return SystemParams(r=1, q=q, kappa=-zeta * math.sqrt(2) * eta_sq, eta_sq=eta_sq)
+
+
 def random_sparse_state(q, eta_sq, zeta, seed, n_entries=12, span=6):
     rng = np.random.default_rng(seed)
     coeffs = {}
     for _ in range(n_entries):
         key = (int(rng.integers(-span, span + 1)), int(rng.integers(-span, span + 1)))
         coeffs[key] = complex(rng.normal(), rng.normal())
-    return lattice.LatticeState(alpha=0.0, j=0, q=q, eta=math.sqrt(eta_sq),
-                                zeta=zeta, coeffs=coeffs)
+    return lattice.LatticeState(alpha=0.0, j=0, params=params_for_zeta(q, eta_sq, zeta),
+                                coeffs=coeffs)
 
 
 class TestInit:
     def test_delta_initial_condition(self):
-        st = lattice.init_coherent(0.3 + 0.2j, 4, math.sqrt(math.pi), 0.18)
+        st = lattice.from_params(0.3 + 0.2j, params_for_zeta(4, math.pi, 0.18))
         assert st.coeffs == {(0, 0): 1.0 + 0.0j}
         assert st.j == 0
 
     def test_fresh_state_converts_to_coherent(self):
-        st = lattice.init_coherent(0.5, 4, math.sqrt(math.pi), 0.18)
+        st = lattice.from_params(0.5, params_for_zeta(4, math.pi, 0.18))
         conv = lattice.to_fock(st, 64)
         assert conv.reliable
         assert fock.fidelity(conv.state, fock.coherent_state(0.5, 64)) == pytest.approx(1.0, abs=1e-10)
@@ -53,12 +59,18 @@ class TestInit:
             lattice.to_fock(lattice.from_params(100.0, params_q4()), 16)
 
     def test_q5_rejected(self):
-        with pytest.raises(ValueError):
-            lattice.init_coherent(0.0, 5, 1.0, 0.18)
+        with pytest.raises(ValueError, match="q in"):
+            lattice.from_params(0.0, params_for_zeta(5, 1.0, 0.18))
 
     def test_r_not_one_rejected(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="r = 1"):
             lattice.from_params(0.0, SystemParams(r=3, q=4, kappa=-0.8, eta_sq=math.pi))
+
+    @pytest.mark.parametrize("r,q,match", [(1, 5, "q in"), (2, 3, "r = 1")])
+    def test_state_refuses_system(self, r, q, match):
+        params = SystemParams(r=r, q=q, kappa=-0.8, eta_sq=math.pi)
+        with pytest.raises(ValueError, match=match):
+            lattice.LatticeState(alpha=0.0, j=2, params=params, coeffs={(1, -1): 0.5 + 0j})
 
 
 class TestStep:
@@ -95,7 +107,7 @@ class TestStep:
         states.append(lattice.steps(lattice.from_params(0.0, params_q4()), 3))
         for st in states:
             got = lattice.step(st, eps=0.0).coeffs
-            span = 2 * lattice.support_radius(st) + specfun.k_cutoff(st.zeta) + 2
+            span = 2 * lattice.support_radius(st) + specfun.k_cutoff(st.params.zeta) + 2
             want = gather_step(st, span)
             keys = set(got) | set(want)
             worst = max(abs(got.get(k, 0.0) - want.get(k, 0.0)) for k in keys)
@@ -106,7 +118,7 @@ class TestStep:
         out = lattice.step(empty)
         assert out.coeffs == {} and out.j == 1
         # every sum below eps: nothing is retained
-        faint = lattice.init_coherent(0.0, 4, math.sqrt(math.pi), 0.18)
+        faint = lattice.from_params(0.0, params_for_zeta(4, math.pi, 0.18))
         faint.coeffs = {(0, 0): 1e-14 + 0j, (2, -1): 1e-15j}
         assert lattice.step(faint).coeffs == {}
         assert lattice.steps(faint, 2).coeffs == {}
@@ -262,7 +274,7 @@ class TestQ6Cycle:
         assert worst < 1e-10
 
     def test_zero_zeta_stays_single_coefficient(self):
-        st = lattice.init_coherent(0.0, 6, math.sqrt(2 * math.pi / math.sqrt(3)), 0.0)
+        st = lattice.from_params(0.0, params_for_zeta(6, 2 * math.pi / math.sqrt(3), 0.0))
         out = lattice.analytic_q6_cycle(st)
         assert set(out.coeffs) == {(0, 0)}
         assert out.coeffs[(0, 0)] == pytest.approx(1.0)
@@ -272,21 +284,38 @@ class TestQ6Cycle:
         s1 = lattice.step(lattice.from_params(0.0, p))
         with pytest.raises(ValueError):
             lattice.analytic_q6_cycle(s1)  # j not on the cycle
-        bad = lattice.init_coherent(0.0, 6, math.sqrt(PHI * math.pi), 0.18)
+        bad = lattice.from_params(0.0, params_for_zeta(6, PHI * math.pi, 0.18))
         with pytest.raises(model.NonresonantError):
             lattice.analytic_q6_cycle(bad)
         q4 = lattice.from_params(0.0, params_q4())
         with pytest.raises(ValueError):
             lattice.analytic_q6_cycle(q4)
 
+    @pytest.mark.parametrize("multiple", [2.0, 0.5])
+    def test_needs_odd_integer_multiple_of_principal(self, multiple):
+        eta_sq = multiple * model.principal_value(6)
+        st = lattice.steps(lattice.from_params(0.0, params_for_zeta(6, eta_sq, 0.18)), 3)
+        with pytest.raises(model.NonresonantError):
+            lattice.analytic_q6_cycle(st)
+
+    def test_cycle_at_three_times_principal(self):
+        p = params_for_zeta(6, 3 * model.principal_value(6), 0.18)
+        s3 = lattice.steps(lattice.from_params(0.0, p), 3)
+        stepped = lattice.steps(s3, 3)
+        jumped = lattice.analytic_q6_cycle(s3)
+        assert jumped.j == 6
+        keys = set(stepped.coeffs) | set(jumped.coeffs)
+        worst = max(abs(stepped.coeffs.get(k, 0.0) - jumped.coeffs.get(k, 0.0)) for k in keys)
+        assert worst < 1e-10
+
 
 class TestToFock:
     def test_single_displaced_coefficient(self):
         # M = {(1,0): 1} at j=0 is D(i eta)|alpha> = phase * |alpha + i eta>
-        eta = math.sqrt(math.pi)
+        p = params_for_zeta(4, math.pi, 0.18)
+        eta = p.eta
         alpha = 0.4 - 0.1j
-        st = lattice.LatticeState(alpha=alpha, j=0, q=4, eta=eta, zeta=0.18,
-                                  coeffs={(1, 0): 1.0 + 0.0j})
+        st = lattice.LatticeState(alpha=alpha, j=0, params=p, coeffs={(1, 0): 1.0 + 0.0j})
         conv = lattice.to_fock(st, 96)
         beta = 1j * eta
         want = fock.coherent_state(alpha + beta, 96).amps
@@ -325,15 +354,24 @@ class TestSerialization:
         back = lattice.from_json(lattice.to_json(st))
         assert back == st
 
-    def test_file_roundtrip(self, tmp_path):
-        st = lattice.steps(lattice.from_params(0.0, params_q4()), 2)
-        path = tmp_path / "state.json"
-        lattice.save_state(st, path)
-        assert lattice.load_state(path) == st
-
     def test_schema_fields(self):
-        import json
         st = lattice.from_params(0.25, params_q4())
         d = json.loads(lattice.to_json(st))
-        assert set(d) == {"alpha_re", "alpha_im", "j", "q", "eta", "zeta", "coeffs"}
+        assert set(d) == {"alpha_re", "alpha_im", "j", "r", "q", "kappa", "eta_sq", "coeffs"}
+        assert (d["r"], d["q"], d["kappa"], d["eta_sq"]) == (1, 4, -0.8, math.pi)
         assert d["coeffs"] == [[0, 0, 1.0, 0.0]]
+
+    @pytest.mark.parametrize("field,value,match", [
+        ("q", 5, "q in"),
+        ("r", 2, "r = 1"),  # gcd(2, 3) = 1: only the lattice state refuses it
+        ("eta_sq", float("nan"), "eta_sq"),
+        ("eta_sq", float("inf"), "eta_sq"),
+    ])
+    def test_from_json_refuses_system(self, field, value, match):
+        p = params_for_zeta(3, model.principal_value(3), 0.18)
+        st = lattice.steps(lattice.from_params(0.2j, p), 2)
+        d = json.loads(lattice.to_json(st))
+        assert lattice.from_json(json.dumps(d)) == st
+        d[field] = value
+        with pytest.raises(ValueError, match=match):
+            lattice.from_json(json.dumps(d))
