@@ -165,35 +165,49 @@ def cmd_evolve(args) -> int:
     extra = []
     if result.truncation_unsafe:
         extra.append(f"warning: truncation-unsafe from kick {result.first_unsafe_kick}")
-        print(f"kho evolve: truncation-unsafe from kick {result.first_unsafe_kick}; "
-              f"trace written to {args.out}", file=sys.stderr)
-    output.write_energy_trace(args.out, cfg, result.energies, extra)
+    # a failed run writes nothing: the state goes first, and is removed
+    # again if the trace cannot be written
     if args.state_out:
         with open(args.state_out, "w") as fh:
             fh.write(output.fock_state_json(result.state))
+    try:
+        output.write_energy_trace(args.out, cfg, result.energies, extra)
+    except OSError:
+        if args.state_out:
+            os.remove(args.state_out)
+        raise
+    if result.truncation_unsafe:
+        print(f"kho evolve: truncation-unsafe from kick {result.first_unsafe_kick}; "
+              f"trace written to {args.out}", file=sys.stderr)
     return EXIT_TRUNCATION if result.truncation_unsafe else EXIT_OK
 
 
-_QFUNC_PANELS = (("pi", 36), ("pi", 108), ("phi*pi", 36), ("phi*pi", 108))
+_QFUNC_PANELS = {"pi": (36, 108), "phi*pi": (36, 108)}  # eta^2 -> kick counts
 
 
 def cmd_qfunc(args) -> int:
-    single = args.eta2 is not None
-    runs = []
-    if single:
-        runs.append((str(args.eta2), args.kicks if args.kicks is not None else 108, args.out))
+    if args.eta2 is not None:
+        panels = {str(args.eta2): [(args.kicks if args.kicks is not None else 108, args.out)]}
     else:
         os.makedirs(args.out, exist_ok=True)
-        for eta2, kicks in _QFUNC_PANELS:
-            name = f"qfunc_eta2-{eta2.replace('*', '')}_N{kicks}.csv"
-            runs.append((eta2, kicks, os.path.join(args.out, name)))
+        panels = {}
+        for eta2, counts in _QFUNC_PANELS.items():
+            name = eta2.replace("*", "")
+            panels[eta2] = [(kicks, os.path.join(args.out, f"qfunc_eta2-{name}_N{kicks}.csv"))
+                            for kicks in counts]
+    systems = [(eta2, model.SystemParams(r=args.r, q=args.q, kappa=args.kappa,
+                                         eta_sq=model.parse_eta2(eta2)), group)
+               for eta2, group in panels.items()]
+    state = fock.coherent_state(args.alpha, args.dim)
+    runs = []  # (eta2, params, kicks, path, EvolveResult): one propagation per eta^2
+    for eta2, params, group in systems:
+        results = fock.evolve_at(state, params, [kicks for kicks, _ in group])
+        runs += [(eta2, params, kicks, path, result)
+                 for (kicks, path), result in zip(group, results)]
+    # one coherent-amplitude walk for every panel
+    grids = fock.q_functions([result.state for *_, result in runs], args.window, args.res)
     status = EXIT_OK
-    for eta2, kicks, path in runs:
-        params = model.SystemParams(r=args.r, q=args.q, kappa=args.kappa,
-                                    eta_sq=model.parse_eta2(eta2))
-        state = fock.coherent_state(args.alpha, args.dim)
-        result = fock.evolve(state, params, kicks)
-        grid = fock.q_function(result.state, args.window, args.res)
+    for (eta2, params, kicks, path, result), grid in zip(runs, grids):
         cfg = _config_echo(args, ["q", "r", "kappa", "dim", "alpha"])
         cfg.update(eta2=eta2, kicks=kicks)
         cfg["eta2_value"] = output.fmt(params.eta_sq)

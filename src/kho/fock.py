@@ -10,9 +10,13 @@ and `floquet` return them as their even block (rows and columns 0, 2, 4,
 exact zeros where m + n is odd.  Propagation applies each block to its own
 parity sector and neither builds nor applies the block of a sector without
 amplitude, which stays exactly empty: a ground state only ever meets the
-even block.  `evolve` and `kicks_to_energy` share one kick loop and return
-one record, EvolveResult: the final state, the energy trace and the
-truncation flag.
+even block.  `evolve`, `evolve_at` and `kicks_to_energy` share one kick loop
+and return one record, EvolveResult: the final state, the energy trace and
+the truncation flag.  `evolve_at` takes several kick counts from one
+propagation, so the N = 36 and N = 108 Husimi panels of one eta^2 build F
+once and run 108 kicks, not 144; each result is bitwise that of `evolve`.
+Likewise `q_functions` samples several states on one grid from a single
+walk of the coherent-amplitude recurrence.
 
 Each kick is built from one diagonalization of the real tridiagonal
 quadrature operator eta (a + a^dag) and exponentiated on its spectrum, so it
@@ -315,7 +319,7 @@ def mismatch_up_to_phase(a: np.ndarray, b: np.ndarray, block: int) -> float:
 def symmetry_commutator_norm(params: SystemParams, dim: int, *gens: complex) -> float:
     """Worst interior max-norm of [F^q, D(gen)] over symmetry-set generators;
     F^q is built once for all of them, and only the interior block of each
-    commutator is formed."""
+    commutator is formed, from the rows and columns of D(gen) it reads."""
     gens = [g for g in gens if g != 0]
     if not gens:
         return 0.0
@@ -323,7 +327,7 @@ def symmetry_commutator_norm(params: SystemParams, dim: int, *gens: complex) -> 
     fq = floquet_power(params, dim, params.q)
     worst = 0.0
     for gen in gens:
-        dg = specfun.displacement_matrix(gen, dim)
+        dg = specfun.displacement_matrix(gen, dim, block=b)  # rows and columns < b only
         worst = max(worst, float(np.abs(fq[:b] @ dg[:, :b] - dg[:b] @ fq[:, :b]).max()))
     return worst
 
@@ -332,10 +336,13 @@ def symmetry_commutator_norm(params: SystemParams, dim: int, *gens: complex) -> 
 # propagation and observables
 
 
-def _propagate(params: SystemParams, amps: np.ndarray, n_max: int,
-               e_target: float = math.inf) -> EvolveResult:
-    """The kick loop of `evolve` and `kicks_to_energy`: apply F up to n_max
-    times, stopping after the first kick whose mean energy reaches e_target.
+def _propagate(params: SystemParams, amps: np.ndarray, stops,
+               e_target: float = math.inf) -> list[EvolveResult]:
+    """The kick loop of `evolve`, `evolve_at` and `kicks_to_energy`: apply F
+    up to max(stops) times, stopping after the first kick whose mean energy
+    reaches e_target.  Returns one EvolveResult for each kick count in stops
+    that the loop reaches, in ascending order, and one for the kick that
+    stopped it, if any; each holds the energies and flags its kicks alone.
 
     Each parity sector is propagated by its own block of F; a sector with no
     amplitude stays exactly empty, and its block is neither built nor
@@ -352,9 +359,11 @@ def _propagate(params: SystemParams, amps: np.ndarray, n_max: int,
         weights = np.repeat(np.arange(s, dim, 2) + 0.5, 2)
         sectors.append((s, block, weights, 2 * ((tail - s + 1) // 2)))
         psis.append(amps[s::2].astype(complex))
-    energies = np.empty(n_max + 1)
+    stops = set(stops)
+    energies = np.empty(max(stops) + 1)
     first_unsafe = None
-    for k in range(n_max + 1):
+    results = []
+    for k in range(energies.size):
         energy = leak = 0.0
         for i, (_, block, weights, edge) in enumerate(sectors):
             if k:
@@ -366,14 +375,17 @@ def _propagate(params: SystemParams, amps: np.ndarray, n_max: int,
         energies[k] = energy
         if k and first_unsafe is None and leak > DEFAULT_LEAK_TOL:
             first_unsafe = k
-        if energy >= e_target:
+        reached = energy >= e_target
+        if reached or k in stops:
+            out = np.zeros(dim, dtype=complex)
+            for (s, *_), psi in zip(sectors, psis):
+                out[s::2] = psi
+            results.append(EvolveResult(state=FockVector(out), energies=energies[:k + 1].copy(),
+                                        truncation_unsafe=first_unsafe is not None,
+                                        first_unsafe_kick=first_unsafe))
+        if reached:
             break
-    out = np.zeros(dim, dtype=complex)
-    for (s, *_), psi in zip(sectors, psis):
-        out[s::2] = psi
-    return EvolveResult(state=FockVector(out), energies=energies[:k + 1],
-                        truncation_unsafe=first_unsafe is not None,
-                        first_unsafe_kick=first_unsafe)
+    return results
 
 
 def evolve(state: FockVector, params: SystemParams, n_kicks: int) -> EvolveResult:
@@ -382,7 +394,15 @@ def evolve(state: FockVector, params: SystemParams, n_kicks: int) -> EvolveResul
     A truncation leak beyond DEFAULT_LEAK_TOL flags the run unsafe; evolution
     continues and the flagged result is returned.
     """
-    return _propagate(params, state.amps, n_kicks)
+    return _propagate(params, state.amps, (n_kicks,))[0]
+
+
+def evolve_at(state: FockVector, params: SystemParams, kick_counts) -> list[EvolveResult]:
+    """`evolve` for each of kick_counts, from one propagation to the largest:
+    each result is bitwise the one `evolve` returns for its count."""
+    counts = sorted(set(kick_counts))
+    results = dict(zip(counts, _propagate(params, state.amps, counts)))
+    return [results[n] for n in kick_counts]
 
 
 def kicks_to_energy(params: SystemParams, e_target: float, n_max: int,
@@ -390,7 +410,7 @@ def kicks_to_energy(params: SystemParams, e_target: float, n_max: int,
     """Evolve the ground state until its mean energy reaches e_target (units
     hbar*omega), or for n_max kicks if it never does: the last of the
     energies is the first to reach e_target, if any does."""
-    return _propagate(params, ground_state(dim).amps, n_max, e_target)
+    return _propagate(params, ground_state(dim).amps, (n_max,), e_target)[0]
 
 
 def energy_crossings(energies: np.ndarray, targets: list[float]) -> list[int | None]:
@@ -402,22 +422,36 @@ def energy_crossings(energies: np.ndarray, targets: list[float]) -> list[int | N
     return out
 
 
-def q_function(state: FockVector, window: tuple[float, float, float, float],
-               resolution: tuple[int, int]) -> QGrid:
-    """Husimi distribution Q(alpha) = |<psi|alpha>|^2 / pi on a grid.
+def q_functions(states, window: tuple[float, float, float, float],
+                resolution: tuple[int, int]) -> list[QGrid]:
+    """Husimi distributions Q(alpha) = |<psi|alpha>|^2 / pi of several states
+    on one grid, one QGrid per state.
 
-    The overlaps sum conj(psi_n) c_n(alpha) over the orders that
-    specfun.coherent_fock yields for the whole grid at once, skipping
-    orders whose amplitude is exactly zero.
+    One walk over the orders that specfun.coherent_fock yields for the whole
+    grid at once serves every state: each order adds conj(psi_n) c_n(alpha)
+    to the overlap of each state whose amplitude there is nonzero, so each
+    grid is bitwise the one a walk for its state alone gives.
     """
     re_min, re_max, im_min, im_max = window
     n_re, n_im = resolution
     alpha = np.linspace(re_min, re_max, n_re) + 1j * np.linspace(im_min, im_max, n_im)[:, None]
-    overlap = np.zeros(alpha.shape, dtype=complex)
-    for amp, c_n in zip(state.amps.conj().tolist(), specfun.coherent_fock(alpha, state.dim)):
-        if amp:
-            overlap += amp * c_n
-    return QGrid(re_min, re_max, im_min, im_max, np.abs(overlap) ** 2 / np.pi)
+    dim = max(state.dim for state in states)
+    amps = np.zeros((len(states), dim), dtype=complex)  # zero past a smaller basis: skipped
+    for row, state in zip(amps, states):
+        row[:state.dim] = state.amps.conj()
+    overlaps = np.zeros((len(states),) + alpha.shape, dtype=complex)
+    for amps_n, c_n in zip(amps.T.tolist(), specfun.coherent_fock(alpha, dim)):
+        for amp, overlap in zip(amps_n, overlaps):
+            if amp:
+                overlap += amp * c_n
+    return [QGrid(re_min, re_max, im_min, im_max, np.abs(overlap) ** 2 / np.pi)
+            for overlap in overlaps]
+
+
+def q_function(state: FockVector, window: tuple[float, float, float, float],
+               resolution: tuple[int, int]) -> QGrid:
+    """Husimi distribution Q(alpha) = |<psi|alpha>|^2 / pi on a grid."""
+    return q_functions([state], window, resolution)[0]
 
 
 def quasienergy_spectrum(params: SystemParams, dim: int) -> SpectrumResult:

@@ -12,7 +12,9 @@ from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
 
-from scipy.constants import hbar as HBAR
+#: reduced Planck constant [J s] from the exact SI value of h; bitwise equal to
+#: scipy.constants.hbar, without importing scipy.constants
+HBAR = 6.62607015e-34 / (2 * math.pi)
 
 GOLDEN_RATIO = (1.0 + math.sqrt(5.0)) / 2.0
 

@@ -3,6 +3,8 @@ helpers, displacement-operator matrix elements and coherent-state amplitudes.
 
 Everything here is a pure function of its arguments.  Bessel values come
 from scipy.special.jv, tabulated over orders 0..n per argument and cached;
+scipy.special is imported at the first Bessel table or displacement matrix,
+so the paths that need neither (qfunc, spectrum, resonances) never load it;
 negative orders follow from J_{-n}(x) = (-1)^n J_n(x) in bessel_range.
 Displacement matrix elements use the associated-Laguerre closed form with
 factorial ratios carried in log space, so they remain finite at orders of a
@@ -20,7 +22,6 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
-from scipy.special import gammaln, jv
 
 __all__ = [
     "bessel_table",
@@ -50,6 +51,8 @@ class GrafGeometry:
 
 @lru_cache(maxsize=512)
 def _cached_table(x: float, order_max: int) -> np.ndarray:
+    from scipy.special import jv
+
     out = jv(np.arange(order_max + 1), x)
     out.flags.writeable = False
     return out
@@ -130,18 +133,25 @@ def graf_sum(n: int, zeta: float, alpha: float) -> complex:
     return complex(np.sum(jnk * jk * np.exp(1j * ks * alpha)))
 
 
-def displacement_matrix(alpha: complex, dim: int) -> np.ndarray:
+def displacement_matrix(alpha: complex, dim: int, block: int | None = None) -> np.ndarray:
     """Dense dim x dim matrix of exact displacement elements <m|D(alpha)|n>.
 
     One pass of the Laguerre recurrence over the lower index n, vectorized
     across the dim - n diagonal offsets still inside the matrix, fills both
-    triangles, one row and one column per step.
+    triangles, one row and one column per step.  With `block` < dim the pass
+    stops after n = block - 1: every entry with min(m, n) < block is filled,
+    bitwise as in the full matrix, and the rest, out[block:, block:], is left
+    NaN (for alpha != 0).
     """
+    from scipy.special import gammaln
+
     alpha = complex(alpha)
     if alpha == 0:
         return np.eye(dim, dtype=complex)
+    block = dim if block is None else min(block, dim)
     x = abs(alpha) ** 2
     out = np.empty((dim, dim), dtype=complex)
+    out[block:, block:] = np.nan
     offs = np.arange(dim)
     lg = gammaln(np.arange(dim) + 1.0)
     unit = alpha / abs(alpha)
@@ -151,7 +161,7 @@ def displacement_matrix(alpha: complex, dim: int) -> np.ndarray:
     lk = np.ones(dim)
     logscale = np.zeros(dim)
     d_log_a = offs * math.log(abs(alpha))
-    for n in range(dim):
+    for n in range(block):
         width = dim - n  # offsets still inside the matrix
         if n > 0:
             d = offs[:width]

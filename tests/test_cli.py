@@ -138,6 +138,20 @@ class TestQfunc:
             "qfunc_eta2-pi_N36.csv",
         ]
 
+    def test_default_panels_match_single_runs(self, tmp_path):
+        # the panels of one eta^2 share one propagation and all four share one
+        # Husimi walk; each file is byte-identical to its own single run,
+        # the truncation-flagged N=108 panels included
+        grid = ["--dim", "128", "--window", "10", "--res", "11"]
+        main(["qfunc", *grid, "--out", str(tmp_path / "panels")])
+        for eta2 in ("pi", "phi*pi"):
+            for kicks in (36, 108):
+                single = tmp_path / "single.csv"
+                main(["qfunc", *grid, "--eta2", eta2, "--kicks", str(kicks),
+                      "--out", str(single)])
+                panel = tmp_path / "panels" / f"qfunc_eta2-{eta2.replace('*', '')}_N{kicks}.csv"
+                assert panel.read_bytes() == single.read_bytes()
+
 
 class TestEnergyScan:
     def test_single_point_consistent_with_evolve(self, tmp_path):
@@ -219,6 +233,25 @@ class TestBlasThreads:
             outputs[name] = out.read_bytes()
         assert outputs["default"] == outputs["pinned"]
         assert outputs["pool"] == outputs["default"]
+
+
+class TestColdStart:
+    def test_light_commands_import_no_scipy_special_or_constants(self, tmp_path):
+        """resonances and a spectrum use neither Bessel functions nor SI
+        constants, so neither module loads: it would add to every cold start."""
+        src = os.path.dirname(os.path.dirname(kho.__file__))
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+        script = (
+            "import sys\n"
+            "from kho.cli import main\n"
+            f"assert main(['resonances', '--out', {str(tmp_path / 'r.json')!r}]) == 0\n"
+            "assert main(['spectrum', '--dim', '8', '--scan-points', '2', "
+            f"'--out', {str(tmp_path / 's.csv')!r}]) == 0\n"
+            "print(sorted(m for m in ('scipy.special', 'scipy.constants') if m in sys.modules))\n")
+        done = subprocess.run([sys.executable, "-c", script], env=env, check=True,
+                              capture_output=True, text=True)
+        assert done.stdout.strip() == "[]"
 
 
 class TestResonances:
@@ -359,6 +392,8 @@ class TestUsageErrors:
          "--state-out", "{missing}/s.json"],
         ["resonances", "--out", "{missing}/r.json"],
         ["qfunc", "--dim", "32", "--out", "{file}"],  # panel mode needs a directory
+        ["evolve", "--dim", "32", "--kicks", "1", "--out", "{missing}/x.csv",
+         "--state-out", "{tmp}/s.json"],
     ])
     def test_unwritable_output_is_clean_usage_error(self, tmp_path, capsys, argv):
         (tmp_path / "file").write_text("")
@@ -367,4 +402,5 @@ class TestUsageErrors:
         assert code == cli.EXIT_USAGE
         err = capsys.readouterr().err
         assert "kho: error:" in err
-        assert not (tmp_path / "missing").exists()
+        # a failed run writes nothing: no trace beside a state it could not write
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["file"]

@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from kho import fock, model
+from kho import fock, model, specfun
 from kho.model import SystemParams
 
 from oracles import (evolve_dense, floquet_dense, kick_dense, kick_ground_element,
@@ -210,6 +210,23 @@ class TestEvolve:
         assert res.energies[0] == 0.5
         assert np.all(np.isfinite(res.energies))
 
+    def test_evolve_at_equals_separate_evolves_bitwise(self):
+        # a mixed-parity state whose leak flag trips at kick 15: the counts
+        # before it are safe, the later ones flagged from 15; the counts come
+        # unsorted and repeated, and each result is that of its own evolve
+        p = params_q4(eta_sq=PHI * math.pi)
+        st = fock.coherent_state(-1.1 + 0.4j, 151)
+        counts = [40, 0, 14, 15, 40, 7]
+        results = fock.evolve_at(st, p, counts)
+        assert [r.first_unsafe_kick for r in results] == [15, None, None, 15, 15, None]
+        for n, got in zip(counts, results):
+            want = fock.evolve(st, p, n)
+            assert np.array_equal(got.state.amps, want.state.amps)
+            assert np.array_equal(got.energies, want.energies)
+            assert got.energies.size == n + 1
+            assert (got.truncation_unsafe, got.first_unsafe_kick) == (
+                want.truncation_unsafe, want.first_unsafe_kick)
+
 
 class TestMeanEnergy:
     def test_ground(self):
@@ -234,6 +251,26 @@ class TestQFunction:
         rr, ii = np.meshgrid(g.re_axis, g.im_axis)
         want = np.exp(-(rr ** 2 + ii ** 2)) / math.pi
         assert np.abs(g.values - want).max() < 1e-12
+
+    def test_several_states_equal_single_calls_bitwise(self):
+        # states of two basis sizes and both parities, sampled on one grid
+        p = params_q4()
+        states = [fock.evolve(fock.ground_state(128), p, 36).state,
+                  fock.coherent_state(0.7 - 0.3j, 96),
+                  fock.evolve(fock.coherent_state(1.2j, 128), p, 9).state]
+        window, res = (-6.0, 6.0, -5.0, 7.0), (23, 19)
+        grids = fock.q_functions(states, window, res)
+        alpha = np.linspace(-6.0, 6.0, 23) + 1j * np.linspace(-5.0, 7.0, 19)[:, None]
+        for state, grid in zip(states, grids):
+            # the walk of the recurrence for this state alone, over its own basis
+            overlap = np.zeros(alpha.shape, dtype=complex)
+            for amp, c_n in zip(state.amps.conj().tolist(),
+                                specfun.coherent_fock(alpha, state.dim)):
+                if amp:
+                    overlap += amp * c_n
+            assert np.array_equal(grid.values, np.abs(overlap) ** 2 / np.pi)
+            assert np.array_equal(grid.values, fock.q_function(state, window, res).values)
+            assert (grid.re_min, grid.re_max, grid.im_min, grid.im_max) == window
 
     def test_riemann_normalization(self):
         st = fock.coherent_state(0.7 - 0.3j, 96)

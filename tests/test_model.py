@@ -32,6 +32,10 @@ def _phys(mass=2.2e-25, omega=2 * math.pi * 50.0, K=None, Omega=2 * math.pi * 1e
 
 
 class TestReduce:
+    def test_hbar_is_scipys_bitwise(self):
+        from scipy.constants import hbar
+        assert model.HBAR == hbar
+
     def test_quarter_period_gives_q4(self):
         sp = model.reduce(_phys())
         assert (sp.r, sp.q) == (1, 4)

@@ -181,6 +181,18 @@ def test_displacement_large_order_stability():
         assert abs(mat[m, n] - displacement_mp(m, n, a)) < 1e-13
 
 
+def test_displacement_matrix_block_equals_full_bitwise():
+    # the commutator check's read block: D=512, b=213 rows and columns
+    a = 1.7 - 0.9j
+    full = specfun.displacement_matrix(a, 512)
+    part = specfun.displacement_matrix(a, 512, block=213)
+    read = np.minimum.outer(np.arange(512), np.arange(512)) < 213
+    assert np.array_equal(part[read], full[read])
+    assert np.isnan(part[~read]).all()
+    assert np.array_equal(specfun.displacement_matrix(a, 64, block=64),
+                          specfun.displacement_matrix(a, 64))
+
+
 def test_coherent_fock_matches_displacement_column():
     a = 1.3 - 0.7j
     col = np.array(list(specfun.coherent_fock(a, 40)))
