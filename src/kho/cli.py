@@ -36,6 +36,14 @@ class _Parser(argparse.ArgumentParser):
         self.print_usage(sys.stderr)
         self.exit(EXIT_USAGE, f"kho: error: {message}\n")
 
+    def parse_args(self, args=None, namespace=None):
+        parsed = super().parse_args(args, namespace)
+        # argparse takes the value of "--flag=--" as [], past the flag's type
+        for dest, value in vars(parsed).items():
+            if value == []:
+                self.error(f"argument --{dest.replace('_', '-')}: expected one argument")
+        return parsed
+
 
 def _int_at_least(lo: int):
     def parse(text: str) -> int:
@@ -84,12 +92,15 @@ def _parse_res(text: str) -> tuple[int, int]:
     raise argparse.ArgumentTypeError("res must be N or n_re,n_im")
 
 
-def _add_system_flags(p, eta2_default="pi"):
+ETA2_HELP = "eta^2, symbolic: float | pi | pi/2 | 2pi/sqrt3 | phi*pi | a/b*pi"
+
+
+def _add_system_flags(p):
+    """--q, --r, --kappa and --dim.  --eta2 is added only where one system
+    runs: a scan takes its eta^2 values from --scan-min and --scan-max."""
     p.add_argument("--q", type=int, default=4, help="kicks per oscillator period")
     p.add_argument("--r", type=int, default=1, help="oscillator periods per q kicks")
     p.add_argument("--kappa", type=float, default=-0.8, help="dimensionless kick strength")
-    p.add_argument("--eta2", default=eta2_default,
-                   help="eta^2, symbolic: float | pi | pi/2 | 2pi/sqrt3 | phi*pi | a/b*pi")
     p.add_argument("--dim", type=_int_at_least(1), default=500, help="Fock basis size")
 
 
@@ -99,6 +110,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     pe = sub.add_parser("evolve", help="propagate and emit the energy trace")
     _add_system_flags(pe)
+    pe.add_argument("--eta2", default="pi", help=ETA2_HELP)
     pe.add_argument("--kicks", type=_int_at_least(0), default=108)
     pe.add_argument("--alpha", type=_finite_complex, default=0j,
                     help="initial coherent amplitude")
@@ -106,8 +118,10 @@ def build_parser() -> argparse.ArgumentParser:
     pe.add_argument("--state-out", default=None, help="optional final-state JSON path")
 
     pq = sub.add_parser("qfunc", help="evolve and sample the Husimi Q function")
-    _add_system_flags(pq, eta2_default=None)
-    pq.add_argument("--kicks", type=_int_at_least(0), default=None)
+    _add_system_flags(pq)
+    pq.add_argument("--eta2", default=None, help=ETA2_HELP)
+    pq.add_argument("--kicks", type=_int_at_least(0), default=None,
+                    help="kicks before sampling (default 108); needs --eta2")
     pq.add_argument("--alpha", type=_finite_complex, default=0j)
     pq.add_argument("--window", type=_parse_window, default=_parse_window("16"))
     pq.add_argument("--res", type=_parse_res, default=(101, 101))
@@ -142,24 +156,19 @@ def build_parser() -> argparse.ArgumentParser:
     return p
 
 
-def _system_params(args) -> model.SystemParams:
-    eta_sq = model.parse_eta2(str(args.eta2))
-    return model.SystemParams(r=args.r, q=args.q, kappa=args.kappa, eta_sq=eta_sq)
+def _system_params(args, eta2_text: str) -> model.SystemParams:
+    return model.SystemParams(r=args.r, q=args.q, kappa=args.kappa,
+                              eta_sq=model.parse_eta2(eta2_text))
 
 
 def _config_echo(args, keys) -> dict:
-    cfg = {}
-    for k in keys:
-        v = getattr(args, k.replace("-", "_"))
-        cfg[k] = v if not isinstance(v, tuple) else ",".join(map(str, v))
-    if "eta2" in cfg and cfg["eta2"] is not None:
-        cfg["eta2_value"] = output.fmt(model.parse_eta2(str(cfg["eta2"])))
-    return cfg
+    return {k: getattr(args, k.replace("-", "_")) for k in keys}
 
 
 def cmd_evolve(args) -> int:
-    params = _system_params(args)
+    params = _system_params(args, args.eta2)
     cfg = _config_echo(args, ["q", "r", "kappa", "eta2", "dim", "kicks", "alpha"])
+    cfg["eta2_value"] = output.fmt(params.eta_sq)
     state = fock.coherent_state(args.alpha, args.dim)
     result = fock.evolve(state, params, args.kicks)
     extra = []
@@ -187,17 +196,17 @@ _QFUNC_PANELS = {"pi": (36, 108), "phi*pi": (36, 108)}  # eta^2 -> kick counts
 
 def cmd_qfunc(args) -> int:
     if args.eta2 is not None:
-        panels = {str(args.eta2): [(args.kicks if args.kicks is not None else 108, args.out)]}
+        panels = {args.eta2: [(108 if args.kicks is None else args.kicks, args.out)]}
+    elif args.kicks is not None:
+        raise ValueError("--kicks needs --eta2: the default panel set runs its own "
+                         "kick counts, N=36 and N=108")
     else:
-        os.makedirs(args.out, exist_ok=True)
         panels = {}
         for eta2, counts in _QFUNC_PANELS.items():
             name = eta2.replace("*", "")
             panels[eta2] = [(kicks, os.path.join(args.out, f"qfunc_eta2-{name}_N{kicks}.csv"))
                             for kicks in counts]
-    systems = [(eta2, model.SystemParams(r=args.r, q=args.q, kappa=args.kappa,
-                                         eta_sq=model.parse_eta2(eta2)), group)
-               for eta2, group in panels.items()]
+    systems = [(eta2, _system_params(args, eta2), group) for eta2, group in panels.items()]
     state = fock.coherent_state(args.alpha, args.dim)
     runs = []  # (eta2, params, kicks, path, EvolveResult): one propagation per eta^2
     for eta2, params, group in systems:
@@ -206,6 +215,8 @@ def cmd_qfunc(args) -> int:
                  for (kicks, path), result in zip(group, results)]
     # one coherent-amplitude walk for every panel
     grids = fock.q_functions([result.state for *_, result in runs], args.window, args.res)
+    if args.eta2 is None:  # a run that fails before this point leaves no directory
+        os.makedirs(args.out, exist_ok=True)
     status = EXIT_OK
     for (eta2, params, kicks, path, result), grid in zip(runs, grids):
         cfg = _config_echo(args, ["q", "r", "kappa", "dim", "alpha"])
@@ -230,9 +241,7 @@ def cmd_qfunc(args) -> int:
 
 def _scan_grid(args) -> list[model.SystemParams]:
     """One system per eta^2 of a scan, once both bounds pass as systems."""
-    lo, hi = (model.SystemParams(r=args.r, q=args.q, kappa=args.kappa,
-                                 eta_sq=model.parse_eta2(text))
-              for text in (args.scan_min, args.scan_max))
+    lo, hi = (_system_params(args, text) for text in (args.scan_min, args.scan_max))
     return [replace(lo, eta_sq=float(eta_sq))
             for eta_sq in np.linspace(lo.eta_sq, hi.eta_sq, args.scan_points)]
 

@@ -83,8 +83,11 @@ class EvolveResult:
 
     state: FockVector
     energies: np.ndarray  # mean energy before kick 0, 1, ..., up to the last kick applied
-    truncation_unsafe: bool
-    first_unsafe_kick: int | None = None
+    first_unsafe_kick: int | None  # first kick whose leak exceeds DEFAULT_LEAK_TOL
+
+    @property
+    def truncation_unsafe(self) -> bool:
+        return self.first_unsafe_kick is not None
 
 
 @dataclass
@@ -195,19 +198,11 @@ def _axis_turn(theta: float, n: np.ndarray) -> np.ndarray:
     return np.outer(turn, turn.conj())
 
 
-def build_kick(params: SystemParams, dim: int, strength: int = 1,
-               theta: float = 0.0) -> np.ndarray:
-    """Kick factor exp(i*zeta*strength*cos[eta*(a e^{-i theta} + a^dag e^{i theta})]).
-
-    theta = 0 gives the plain kick of the Floquet operator; nonzero theta the
-    rotated factors of the q-axis product, by the similarity
-    K(theta)[m, n] = e^{i theta (m - n)} K(0)[m, n].  Exactly unitary by
-    spectral construction, and exactly 0 where m + n is odd.
-    """
-    kick = _assemble(kick_blocks(params, dim, strength))
-    if theta != 0.0:
-        kick *= _axis_turn(theta, np.arange(dim))
-    return kick
+def build_kick(params: SystemParams, dim: int, strength: int = 1) -> np.ndarray:
+    """Kick factor exp(i*zeta*strength*cos[eta*(a + a^dag)]) of the Floquet
+    operator.  Exactly unitary by spectral construction, and exactly 0 where
+    m + n is odd."""
+    return _assemble(kick_blocks(params, dim, strength))
 
 
 def _free_phases(params: SystemParams, dim: int) -> np.ndarray:
@@ -342,16 +337,18 @@ def _propagate(params: SystemParams, amps: np.ndarray, stops,
     up to max(stops) times, stopping after the first kick whose mean energy
     reaches e_target.  Returns one EvolveResult for each kick count in stops
     that the loop reaches, in ascending order, and one for the kick that
-    stopped it, if any; each holds the energies and flags its kicks alone.
+    stopped it, if any; each holds the energies of its own kicks, and the
+    first unsafe kick among them.
 
     Each parity sector is propagated by its own block of F; a sector with no
     amplitude stays exactly empty, and its block is neither built nor
     applied.  The leak is the weight on the top tenth of the basis, and on
-    the top state at least; the first kick whose leak exceeds
-    DEFAULT_LEAK_TOL flags the result unsafe.
+    its top two states at least, so that below D = 20 the tail still holds
+    one state of each parity; the first kick whose leak exceeds
+    DEFAULT_LEAK_TOL is the first unsafe kick.
     """
     dim = amps.shape[0]
-    tail = dim - max(dim // 10, 1)
+    tail = dim - max(dim // 10, 2)
     parities = tuple(s for s in (0, 1) if amps[s::2].any())
     sectors, psis = [], []  # (parity, block, weights, first tail float), amplitudes
     for s, block in zip(parities, floquet(params, dim, parities)):
@@ -381,7 +378,6 @@ def _propagate(params: SystemParams, amps: np.ndarray, stops,
             for (s, *_), psi in zip(sectors, psis):
                 out[s::2] = psi
             results.append(EvolveResult(state=FockVector(out), energies=energies[:k + 1].copy(),
-                                        truncation_unsafe=first_unsafe is not None,
                                         first_unsafe_kick=first_unsafe))
         if reached:
             break
@@ -508,19 +504,18 @@ def quasienergy_spectrum(params: SystemParams, dim: int) -> SpectrumResult:
                           max_unit_defect=max_defect, max_residual=max_residual)
 
 
-def band_max_gap(result: SpectrumResult, band: str = "uppermost") -> float:
-    """Largest eigenphase gap inside one free-evolution band.
+def band_max_gap(result: SpectrumResult) -> float:
+    """Largest eigenphase gap inside the uppermost free-evolution band.
 
     Bands sit near the kappa = 0 phases -(n+1/2)*tau mod 2pi; states are
     assigned to the nearest band center within a quarter band spacing.
     """
     params = result.params
-    centers = np.angle(np.exp(-1j * (np.arange(params.q) + 0.5) * params.tau))
-    center = np.max(centers) if band == "uppermost" else float(band)
+    center = np.angle(np.exp(-1j * (np.arange(params.q) + 0.5) * params.tau)).max()
     dist = np.abs(np.angle(np.exp(1j * (result.phi - center))))
     sel = result.phi[dist < params.tau / 4.0]
     if sel.size < 2:
-        raise ValueError("fewer than two eigenphases in the requested band")
+        raise ValueError("fewer than two eigenphases in the uppermost band")
     return float(np.max(np.diff(sel)))
 
 

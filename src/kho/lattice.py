@@ -62,7 +62,11 @@ class LatticeState:
 class ConversionResult:
     state: FockVector
     raw_norm: float  # pre-normalization norm; |raw_norm - 1| measures truncation
-    reliable: bool
+
+    @property
+    def reliable(self) -> bool:
+        """The basis held the state: raw_norm is within 1e-3 of 1."""
+        return abs(self.raw_norm - 1.0) <= 1e-3
 
 
 def from_params(alpha: complex, params: SystemParams) -> LatticeState:
@@ -102,9 +106,9 @@ def step(state: LatticeState, eps: float = EPS_LAT) -> LatticeState:
     return LatticeState(alpha=state.alpha, j=state.j + 1, params=params, coeffs=new)
 
 
-def steps(state: LatticeState, n: int, eps: float = EPS_LAT) -> LatticeState:
+def steps(state: LatticeState, n: int) -> LatticeState:
     for _ in range(n):
-        state = step(state, eps)
+        state = step(state)
     return state
 
 
@@ -173,7 +177,7 @@ def q6_triple_sum(zeta_eff: float, m, n):
     return np.sum(sign * power * jk * j1 * j2, axis=-1)
 
 
-def analytic_q6_cycle(state: LatticeState, eps: float = EPS_LAT) -> LatticeState:
+def analytic_q6_cycle(state: LatticeState) -> LatticeState:
     """Jump a resonant q = 6 state from kick 3j to kick 3(j+1).
 
     The coefficients at 3(j+1) are the kick-3 triple sums with every Bessel
@@ -197,7 +201,7 @@ def analytic_q6_cycle(state: LatticeState, eps: float = EPS_LAT) -> LatticeState
     ms, ns = np.meshgrid(np.arange(-3 * kc, 3 * kc + 1), np.arange(-2 * kc, 2 * kc + 1),
                          indexing="ij")
     vals = q6_triple_sum(zeff, ms, ns)
-    keep = np.abs(vals) >= eps
+    keep = np.abs(vals) >= EPS_LAT
     coeffs = {(int(m), int(n)): complex(v)
               for m, n, v in zip(ms[keep], ns[keep], vals[keep])}
     return LatticeState(alpha=state.alpha, j=state.j + 3, params=params, coeffs=coeffs)
@@ -210,7 +214,7 @@ def to_fock(state: LatticeState, dim: int) -> ConversionResult:
     D(beta)|alpha_j> = e^{(beta alpha_j^* - beta^* alpha_j)/2} |beta + alpha_j>,
     and psi_n sums the prefactors times c_n(beta + alpha_j) from
     specfun.coherent_fock.  The output is normalized; raw_norm records the
-    pre-normalization norm, and the result is reliable when it is within
+    pre-normalization norm, and the result is `reliable` when it is within
     1e-3 of 1.  ValueError if it is 0: the basis holds none of the state.
     """
     if not state.coeffs:
@@ -230,14 +234,7 @@ def to_fock(state: LatticeState, dim: int) -> ConversionResult:
     raw_norm = float(np.linalg.norm(psi))
     if raw_norm == 0.0:
         raise ValueError(f"the first {dim} number states hold none of the lattice state")
-    reliable = abs(raw_norm - 1.0) <= 1e-3
-    return ConversionResult(state=FockVector(psi / raw_norm),
-                            raw_norm=raw_norm, reliable=reliable)
-
-
-def support_radius(state: LatticeState) -> int:
-    """Largest |m| or |n| carrying a retained coefficient."""
-    return max(max(abs(m), abs(n)) for m, n in state.coeffs)
+    return ConversionResult(state=FockVector(psi / raw_norm), raw_norm=raw_norm)
 
 
 # ---------------------------------------------------------------------------

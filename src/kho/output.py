@@ -16,15 +16,13 @@ from .fock import FockVector, QGrid
 SCHEMA_VERSION = 1
 
 
-def fmt(x) -> str:
-    if isinstance(x, (int, np.integer)):
-        return str(int(x))
-    return f"{float(x):.17g}"
+#: one number as text: .17g prints floats to round-trip, ints below 1e17 as integers
+fmt = "{:.17g}".format
 
 
 def _row(values) -> str:
-    """One CSV row: .17g prints floats to round-trip, ints below 1e17 as integers."""
-    return ",".join(map("{:.17g}".format, values))
+    """One CSV row."""
+    return ",".join(map(fmt, values))
 
 
 def header_lines(subcommand: str, config: dict) -> list[str]:
@@ -78,9 +76,3 @@ def fock_state_json(state: FockVector) -> str:
         "dim": state.dim,
         "amps": [[a.real, a.imag] for a in state.amps],
     })
-
-
-def load_fock_state(text: str) -> FockVector:
-    d = json.loads(text)
-    amps = np.array([complex(re, im) for re, im in d["amps"]])
-    return FockVector(amps)

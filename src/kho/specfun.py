@@ -23,17 +23,6 @@ from functools import lru_cache
 
 import numpy as np
 
-__all__ = [
-    "bessel_table",
-    "bessel_j",
-    "k_cutoff",
-    "GrafGeometry",
-    "graf_geometry",
-    "graf_sum",
-    "displacement_matrix",
-    "coherent_fock",
-]
-
 _RESCALE = 1e250
 _ALPHA_MAX = np.finfo(float).max / _RESCALE  # |power * alpha| stays finite below it
 

@@ -117,19 +117,32 @@ def _q4_lattice(n_kicks: int) -> lattice.LatticeState:
     return lattice.steps(lattice.from_params(0.0, Q4), n_kicks)
 
 
-def check_mapping_vs_analytic() -> CheckResult:
+def check_q4_closed_form() -> tuple[CheckResult, CheckResult]:
+    """The stepped q = 4 lattice state against analytic_q4, N = 2..8, from
+    one walk: (mapping, phase pattern).
+
+    mapping: max |M[N]_{m,n} - analytic| over |m|, |n| <= 12, a coefficient
+    not retained counting as 0.  phase pattern: max |M[N]_{m,n} - pattern *
+    J_m(C_m zeta) J_n(C_n zeta)| over every retained coefficient.  Where
+    |J_m J_n| > d this bounds the quotient form |M / (J_m J_n) - pattern| by
+    measured / d; the quotient itself is ill-conditioned near Bessel zeros."""
     t0 = time.perf_counter()
     state = _q4_lattice(2)
     box = range(-12, 13)
-    ms, ns = np.array(box)[:, None], np.array(box)
-    worst = 0.0
+    box_m, box_n = np.array(box)[:, None], np.array(box)
+    in_box = retained = 0.0
     for n_kicks in range(2, 9):
         got = np.array([[state.coeffs.get((m, n), 0.0) for n in box] for m in box])
-        want = lattice.analytic_q4(n_kicks, Q4.zeta, ms, ns)
-        worst = max(worst, float(np.abs(got - want).max()))
+        want = lattice.analytic_q4(n_kicks, Q4.zeta, box_m, box_n)
+        in_box = max(in_box, float(np.abs(got - want).max()))
+        ms, ns = np.array(list(state.coeffs)).T
+        vals = np.fromiter(state.coeffs.values(), complex, len(state.coeffs))
+        retained = max(retained, float(np.abs(
+            vals - lattice.analytic_q4(n_kicks, Q4.zeta, ms, ns)).max()))
         if n_kicks < 8:
             state = lattice.step(state)
-    return _check("lattice mapping vs closed form (q=4, N=2..8)", worst, 1e-10, t0)
+    return (_check("lattice mapping vs closed form (q=4, N=2..8)", in_box, 1e-10, t0),
+            _check("resonant phase pattern (-1)^{mn} i^{m+n}", retained, 1e-10, t0))
 
 
 def check_q6_cycle() -> CheckResult:
@@ -143,24 +156,6 @@ def check_q6_cycle() -> CheckResult:
     keys = set(stepped.coeffs) | set(jumped.coeffs)
     worst = max(abs(stepped.coeffs.get(k, 0.0) - jumped.coeffs.get(k, 0.0)) for k in keys)
     return _check("q=6 three-step cycle vs stepped mapping", worst, 1e-10, t0)
-
-
-def check_phase_pattern() -> CheckResult:
-    """max |M[N]_{m,n} - pattern * J_m(C_m zeta) J_n(C_n zeta)| over every
-    retained coefficient, N = 2..8.  Where |J_m J_n| > d this bounds the
-    quotient form |M / (J_m J_n) - pattern| by measured / d; the quotient
-    itself is ill-conditioned near Bessel zeros."""
-    t0 = time.perf_counter()
-    state = _q4_lattice(2)
-    worst = 0.0
-    for n_kicks in range(2, 9):
-        ms, ns = np.array(list(state.coeffs)).T
-        vals = np.fromiter(state.coeffs.values(), complex, len(state.coeffs))
-        worst = max(worst, float(np.abs(
-            vals - lattice.analytic_q4(n_kicks, Q4.zeta, ms, ns)).max()))
-        if n_kicks < 8:
-            state = lattice.step(state)
-    return _check("resonant phase pattern (-1)^{mn} i^{m+n}", worst, 1e-10, t0)
 
 
 def cross_representation_fidelity(params: model.SystemParams,
@@ -236,8 +231,7 @@ def run(level: str = "quick") -> list[CheckResult]:
         check_graf_closure(),
         check_axis_product(),
         check_kick_expansion(),
-        check_mapping_vs_analytic(),
-        check_phase_pattern(),
+        *check_q4_closed_form(),
         check_state_roundtrip(),
         check_q6_cycle(),
     ]

@@ -49,8 +49,7 @@ def test_criterion_03_mapping_vs_closed_form():
     """step^N == analytic_q4 within 1e-10 for N = 2..8, |m|,|n| <= 12; the
     phase skeleton (-1)^{mn} i^{m+n} factors every retained coefficient."""
     t0 = time.time()
-    mapping = verify.check_mapping_vs_analytic()
-    phase = verify.check_phase_pattern()
+    mapping, phase = verify.check_q4_closed_form()
     # |val/den - pattern| = |val - pattern*den| / |den| wherever |den| > 1e-3
     quotient = phase.measured / 1e-3
     elapsed = time.time() - t0

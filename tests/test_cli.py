@@ -1,3 +1,4 @@
+import argparse
 import dataclasses
 import json
 import math
@@ -10,7 +11,7 @@ import numpy as np
 import pytest
 
 import kho
-from kho import cli, fock, lattice, model, output, verify
+from kho import cli, fock, lattice, model, verify
 from kho.cli import main
 
 
@@ -53,9 +54,10 @@ class TestEvolve:
         code = main(["evolve", "--kicks", "5", "--dim", "96", "--out", str(out),
                      "--state-out", str(state_out)])
         assert code == 0
-        state = output.load_fock_state(state_out.read_text())
-        assert state.dim == 96
-        assert state.norm() == pytest.approx(1.0, abs=1e-10)
+        saved = json.loads(state_out.read_text())
+        amps = np.array([complex(re, im) for re, im in saved["amps"]])
+        assert saved["dim"] == amps.size == 96
+        assert np.linalg.norm(amps) == pytest.approx(1.0, abs=1e-10)
 
     def test_top_state_counts_in_a_basis_below_ten(self, tmp_path, capsys):
         # |alpha|^2 = 400 puts most of the renormalized state on n = 5 of 6
@@ -65,6 +67,14 @@ class TestEvolve:
         assert code == cli.EXIT_TRUNCATION
         assert "truncation-unsafe from kick 1" in capsys.readouterr().err
         assert any("truncation-unsafe" in ln for ln in read_lines(out))
+
+    def test_top_even_state_counts_in_a_basis_below_twenty(self, tmp_path, capsys):
+        # the ground state stays even, and a tail of the top state alone
+        # (n = 9) let n = 8 fill up unseen
+        out = tmp_path / "trace.csv"
+        code = main(["evolve", "--dim", "10", "--kicks", "108", "--out", str(out)])
+        assert code == cli.EXIT_TRUNCATION
+        assert "truncation-unsafe from kick 1" in capsys.readouterr().err
 
     def test_header_echoes_config(self, tmp_path):
         out = tmp_path / "t.csv"
@@ -100,7 +110,7 @@ class TestQfunc:
     def test_coarse_grid_warns(self, tmp_path, capsys):
         # grid spacing far above the width of Q: the Riemann sum overshoots 1
         out = tmp_path / "q.csv"
-        code = main(["qfunc", "--eta2", "pi", "--dim", "6", "--kicks", "2", "--res", "3",
+        code = main(["qfunc", "--eta2", "pi", "--dim", "64", "--kicks", "2", "--res", "3",
                      "--window", "1e57", "--out", str(out)])
         assert code == 0
         assert "too coarse" in capsys.readouterr().err
@@ -322,6 +332,47 @@ class TestVerify:
         assert not verify.check_state_roundtrip().passed
 
 
+class ReadRecorder(argparse.Namespace):
+    """A Namespace that records the name of each attribute read from it."""
+
+    def __init__(self):
+        super().__init__()
+        self._reads = set()
+
+    def __getattribute__(self, name):
+        if not name.startswith("_"):
+            object.__getattribute__(self, "_reads").add(name)
+        return object.__getattribute__(self, name)
+
+
+# one tiny run of each subcommand, its --out appended
+TINY_RUNS = {
+    "evolve": ["--dim", "8", "--kicks", "1", "--state-out", "{tmp}/s.json"],
+    "qfunc": ["--eta2", "pi", "--dim", "8", "--kicks", "1", "--res", "3", "--window", "2"],
+    "energy-scan": ["--dim", "8", "--kicks", "2", "--scan-points", "2"],
+    "spectrum": ["--dim", "8", "--scan-points", "2"],
+    "resonances": ["--q-min", "4", "--q-max", "4"],
+    "verify": [],
+}
+
+
+class TestFlagsRead:
+    def test_every_subcommand_has_a_tiny_run(self):
+        assert sorted(TINY_RUNS) == sorted(cli._HANDLERS)
+
+    @pytest.mark.parametrize("command", sorted(TINY_RUNS))
+    def test_handler_reads_every_flag_it_defines(self, tmp_path, capsys, command):
+        """A flag the handler never reads is accepted and ignored."""
+        argv = [command, *(arg.format(tmp=tmp_path) for arg in TINY_RUNS[command])]
+        if command != "verify":
+            argv += ["--out", str(tmp_path / "out")]
+        args = cli.build_parser().parse_args(argv, namespace=ReadRecorder())
+        args._reads.clear()  # argparse reads its defaults while parsing
+        assert cli._HANDLERS[command](args) in (cli.EXIT_OK, cli.EXIT_TRUNCATION)
+        defined = {dest for dest in vars(args) if not dest.startswith("_")} - {"command"}
+        assert defined - args._reads == set()
+
+
 class TestUsageErrors:
     def test_unknown_command(self):
         with pytest.raises(SystemExit) as exc:
@@ -371,6 +422,13 @@ class TestUsageErrors:
         ["evolve", "--kappa", "1e300", "--eta2", "1e-10", "--dim", "4", "--kicks", "1"],
         ["energy-scan", "--scan-min", "1e-320", "--scan-max", "1e-319"],
         ["spectrum", "--scan-min", "1e-320", "--scan-max", "1e-319"],
+        ["energy-scan", "--eta2", "pi"],  # a scan takes eta^2 from --scan-min/--scan-max
+        ["spectrum", "--eta2", "pi"],
+        ["qfunc", "--kicks", "5"],  # the default panel set runs its own kick counts
+        ["evolve", "--kicks=--"],  # argparse reads "--" as [], past the type
+        ["evolve", "--eta2=--"],
+        ["qfunc", "--eta2=--", "--dim", "4"],
+        ["spectrum", "--scan-min=--"],
     ])
     def test_bad_input_is_clean_usage_error(self, tmp_path, capsys, argv):
         # an uncaught exception, or a numpy warning raised as one, would
@@ -394,6 +452,7 @@ class TestUsageErrors:
         ["qfunc", "--dim", "32", "--out", "{file}"],  # panel mode needs a directory
         ["evolve", "--dim", "32", "--kicks", "1", "--out", "{missing}/x.csv",
          "--state-out", "{tmp}/s.json"],
+        ["qfunc", "--alpha", "50", "--dim", "6", "--out", "{tmp}/panels"],  # a failed panel run
     ])
     def test_unwritable_output_is_clean_usage_error(self, tmp_path, capsys, argv):
         (tmp_path / "file").write_text("")

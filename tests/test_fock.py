@@ -16,6 +16,13 @@ def params_q4(eta_sq=math.pi, kappa=-0.8, r=1):
     return SystemParams(r=r, q=4, kappa=kappa, eta_sq=eta_sq)
 
 
+def rotated(kick, theta):
+    """The kick along the axis rotated by theta, by the similarity
+    K(theta)[m, n] = e^{i theta (m - n)} K(0)[m, n]."""
+    n = np.arange(kick.shape[0])
+    return kick * np.exp(1j * theta * np.subtract.outer(n, n))
+
+
 class TestBuildKick:
     def test_zero_kick_is_identity(self):
         p = params_q4(kappa=0.0)
@@ -35,7 +42,7 @@ class TestBuildKick:
     def test_rotated_kick_matches_dense_oracle(self):
         p = params_q4()
         for strength in (1, 3):
-            got = fock.build_kick(p, 120, strength=strength, theta=0.7)
+            got = rotated(fock.build_kick(p, 120, strength=strength), 0.7)
             assert np.abs(got - kick_dense(p, 120, strength, theta=0.7)).max() < 1e-13
 
     def test_spectral_vs_exact_element_expansion_interior(self):
@@ -98,7 +105,7 @@ class TestParity:
     def test_operators_exactly_zero_across_parity(self, dim):
         p = params_q4(eta_sq=PHI * math.pi)
         cross = self.cross(dim)
-        for mat in (fock.build_kick(p, dim), fock.build_kick(p, dim, 2, theta=0.7),
+        for mat in (fock.build_kick(p, dim), rotated(fock.build_kick(p, dim, 2), 0.7),
                     fock.floquet_power(p, dim, 1), fock.floquet_power(p, dim, 3),
                     fock.kick_axis_product(p, dim)):
             assert mat.shape == (dim, dim)
@@ -115,13 +122,13 @@ class TestParity:
         assert np.all(res.state.amps[1::2] == 0.0)
         assert abs(res.state.norm() - 1.0) < 1e-12
 
-    @pytest.mark.parametrize("dim", [64, 65, 1, 6, 9, 10])
+    @pytest.mark.parametrize("dim", [64, 65, 1, 2, 6, 9, 10, 19, 20])
     def test_leak_counts_exactly_the_top_tenth(self, dim):
         # without a kick a number state stays put, so it is flagged iff it
-        # lies in the top tenth of the basis, or is the top state of a basis
-        # of fewer than ten, whichever its parity
+        # lies in the top tenth of the basis, or in its top two states, one
+        # of each parity, whichever is larger
         p = params_q4(kappa=0.0)
-        tail = dim - max(dim // 10, 1)
+        tail = dim - max(dim // 10, 2)
         for n in range(dim):
             amps = np.zeros(dim, dtype=complex)
             amps[n] = 1.0

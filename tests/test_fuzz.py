@@ -68,8 +68,8 @@ VALID_ETA2 = ["pi", "phi*pi", "0.7", "2pi/sqrt3", "3/2*pi"]
 FLAGS = {"evolve": ("q", "r", "kappa", "dim", "kicks", "alpha", "eta2"),
          "qfunc": ("q", "r", "kappa", "dim", "kicks", "res", "alpha", "window", "eta2"),
          "energy-scan": ("q", "r", "kappa", "dim", "kicks", "scan-points", "threads",
-                         "eta2", "scan-min", "scan-max"),
-         "spectrum": ("q", "r", "kappa", "dim", "scan-points", "threads", "eta2",
+                         "scan-min", "scan-max"),
+         "spectrum": ("q", "r", "kappa", "dim", "scan-points", "threads",
                       "scan-min", "scan-max")}
 
 
