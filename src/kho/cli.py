@@ -226,6 +226,8 @@ def cmd_qfunc(args) -> int:
         extra = [f"riemann_sum={output.fmt(riemann_sum)}"]
         if result.truncation_unsafe:
             extra.append(f"warning: truncation-unsafe from kick {result.first_unsafe_kick}")
+            print(f"kho qfunc: truncation-unsafe from kick {result.first_unsafe_kick} "
+                  f"for {path}", file=sys.stderr)
             status = EXIT_TRUNCATION
         if riemann_sum < 0.99:
             extra.append("warning: window too small, probability mass outside grid")

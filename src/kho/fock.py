@@ -23,8 +23,12 @@ quadrature operator eta (a + a^dag) and exponentiated on its spectrum, so it
 is exactly unitary regardless of truncation.  The kick along the axis
 rotated by theta is the diagonal-phase similarity
 K(theta)[m, n] = e^{i theta (m - n)} K(0)[m, n], so `kick_axis_product` builds
-its kick blocks once and turns them to each of its q axes.  Nothing is
-cached between calls.
+its kick blocks once and turns them to each of its q axes.  `_quadrature` is
+the one place the quadrature is diagonalized.  Inside a `shared_quadratures()`
+block each (eta, D) is diagonalized once and its spectrum reused, bitwise, by
+every later operator build of the block; `verify.run` enters one around its
+checks.  Outside such a block nothing is kept between calls, so a scan holds
+no eigenvectors of points it has finished.
 
 Quasienergy spectra use the structure of F = P K, with P the diagonal free
 factor and K = V diag(e^{i zeta cos x}) V^T complex symmetric (V real
@@ -48,6 +52,8 @@ involved.
 
 from __future__ import annotations
 
+import contextlib
+import contextvars
 import math
 from dataclasses import dataclass
 
@@ -171,6 +177,36 @@ def _assemble(blocks) -> np.ndarray:
     return out
 
 
+# (eta, dim) -> (x, V) inside a shared_quadratures() block, None outside one
+_SHARED_QUADRATURES: contextvars.ContextVar[dict | None] = contextvars.ContextVar(
+    "kho_shared_quadratures", default=None)
+
+
+@contextlib.contextmanager
+def shared_quadratures():
+    """Within the block, diagonalize each (eta, D) quadrature once: later
+    operator builds reuse its spectrum, bitwise, and the block's end drops
+    it.  A block opened inside another starts afresh."""
+    token = _SHARED_QUADRATURES.set({})
+    try:
+        yield
+    finally:
+        _SHARED_QUADRATURES.reset(token)
+
+
+def _quadrature(eta: float, dim: int) -> tuple[np.ndarray, np.ndarray]:
+    """(x, V): eigenvalues and orthonormal eigenvectors (columns) of the real
+    tridiagonal eta (a + a^dag) over the first dim number states.  Callers
+    must not write into them: inside shared_quadratures() they are shared."""
+    shared = _SHARED_QUADRATURES.get()
+    if shared is not None and (eta, dim) in shared:
+        return shared[eta, dim]
+    spectrum = eigh_tridiagonal(np.zeros(dim), eta * np.sqrt(np.arange(1, dim)))
+    if shared is not None:
+        shared[eta, dim] = spectrum
+    return spectrum
+
+
 def kick_blocks(params: SystemParams, dim: int, strength: int = 1,
                 parities: tuple[int, ...] = (0, 1)) -> tuple[np.ndarray, ...]:
     """Parity blocks of exp(i*zeta*strength*cos[eta*(a + a^dag)]), one for
@@ -180,7 +216,7 @@ def kick_blocks(params: SystemParams, dim: int, strength: int = 1,
     (V[s::2] e^{i zeta strength cos x}) V[s::2]^T: one real GEMM each for its
     real and imaginary parts, on a contiguous copy of the rows.
     """
-    x, vecs = eigh_tridiagonal(np.zeros(dim), params.eta * np.sqrt(np.arange(1, dim)))
+    x, vecs = _quadrature(params.eta, dim)
     phases = np.exp(1j * params.zeta * strength * np.cos(x))
     blocks = []
     for s in parities:
@@ -198,11 +234,11 @@ def _axis_turn(theta: float, n: np.ndarray) -> np.ndarray:
     return np.outer(turn, turn.conj())
 
 
-def build_kick(params: SystemParams, dim: int, strength: int = 1) -> np.ndarray:
-    """Kick factor exp(i*zeta*strength*cos[eta*(a + a^dag)]) of the Floquet
-    operator.  Exactly unitary by spectral construction, and exactly 0 where
-    m + n is odd."""
-    return _assemble(kick_blocks(params, dim, strength))
+def build_kick(params: SystemParams, dim: int) -> np.ndarray:
+    """Kick factor exp(i*zeta*cos[eta*(a + a^dag)]) of the Floquet operator.
+    Exactly unitary by spectral construction, and exactly 0 where m + n is
+    odd."""
+    return _assemble(kick_blocks(params, dim))
 
 
 def _free_phases(params: SystemParams, dim: int) -> np.ndarray:
@@ -261,10 +297,9 @@ def amplified_kick_operator(params: SystemParams, dim: int, v: int) -> np.ndarra
     return kick_axis_product(params, dim, v=v)
 
 
-def kick_expansion_matrix(params: SystemParams, dim: int,
-                          theta: float = 0.0) -> np.ndarray:
+def kick_expansion_matrix(params: SystemParams, dim: int) -> np.ndarray:
     """Kick factor assembled from its displacement-operator expansion,
-    sum_k i^k J_k(zeta) D(i k eta e^{i theta}), with exact matrix elements.
+    sum_k i^k J_k(zeta) D(i k eta), with exact matrix elements.
 
     Independent verification route for build_kick; the k-sum truncates at
     k_cutoff(zeta).
@@ -275,7 +310,7 @@ def kick_expansion_matrix(params: SystemParams, dim: int,
         jk = specfun.bessel_j(k, params.zeta)
         if jk == 0.0:
             continue
-        disp = specfun.displacement_matrix(1j * k * params.eta * np.exp(1j * theta), dim)
+        disp = specfun.displacement_matrix(1j * k * params.eta, dim)
         out += (1j) ** k * jk * disp
     return out
 
@@ -312,18 +347,30 @@ def mismatch_up_to_phase(a: np.ndarray, b: np.ndarray, block: int) -> float:
 
 
 def symmetry_commutator_norm(params: SystemParams, dim: int, *gens: complex) -> float:
-    """Worst interior max-norm of [F^q, D(gen)] over symmetry-set generators;
-    F^q is built once for all of them, and only the interior block of each
-    commutator is formed, from the rows and columns of D(gen) it reads."""
+    """Worst interior max-norm of [F^q, D(gen)] over symmetry-set generators.
+
+    F^q is built once for all of them, as its parity blocks, and only the
+    interior block of each commutator is formed, from the rows and columns
+    of D(gen) it reads.  F^q couples only states of one parity, so the rows
+    of parity s of F^q D come from block s and the rows of parity s of D, and
+    the columns of parity s of D F^q from the columns of parity s of D and
+    block s: half the products of the dense F^q, which is never assembled.
+    """
     gens = [g for g in gens if g != 0]
     if not gens:
         return 0.0
     b = interior_block(dim)
-    fq = floquet_power(params, dim, params.q)
+    fq = [np.linalg.matrix_power(block, params.q) for block in floquet(params, dim)]
     worst = 0.0
     for gen in gens:
         dg = specfun.displacement_matrix(gen, dim, block=b)  # rows and columns < b only
-        worst = max(worst, float(np.abs(fq[:b] @ dg[:, :b] - dg[:b] @ fq[:, :b]).max()))
+        comm = np.empty((b, b), dtype=complex)
+        for s, block in enumerate(fq):
+            comm[s::2] = block[:len(range(s, b, 2))] @ dg[s::2, :b]
+        for s, block in enumerate(fq):
+            comm[:, s::2] -= dg[:b, s::2] @ block[:, :len(range(s, b, 2))]
+        worst = max(worst, float(np.abs(comm).max()))
+        del dg  # else it stays alive while the next generator's is built
     return worst
 
 

@@ -1,5 +1,18 @@
 """Imports kho before any test module imports numpy, so the suite runs under
 the BLAS thread setting of the CLI (one OpenBLAS thread unless
-OPENBLAS_NUM_THREADS is set; see kho/__init__.py)."""
+OPENBLAS_NUM_THREADS is set; see kho/__init__.py), and holds the shared
+fixtures."""
 
 import kho  # noqa: F401
+import pytest
+
+from kho import fock
+
+
+@pytest.fixture
+def eigh_calls(monkeypatch):
+    """The arguments of each diagonalization of a quadrature from here on."""
+    calls = []
+    eigh = fock.eigh_tridiagonal
+    monkeypatch.setattr(fock, "eigh_tridiagonal", lambda *a: calls.append(a) or eigh(*a))
+    return calls

@@ -12,8 +12,11 @@ implementation builds parity blocks from one real tridiagonal eigensolve and
 turns axes by similarity), propagation applies the dense D x D Floquet
 matrix, quasienergy spectra come from a general complex eigensolve of it
 (the implementation uses a real symmetric Cayley transform per parity block),
-and coherent amplitudes come from the closed form in mpmath at 40 digits (the
-implementation runs a rescaled recurrence in double precision).
+coherent amplitudes come from the closed form in mpmath at 40 digits (the
+implementation runs a rescaled recurrence in double precision), and the
+symmetry commutators multiply the dense F^q, zeros across parity included
+(the implementation multiplies each parity block by its rows or columns of
+the displacement).
 """
 
 import math
@@ -21,7 +24,7 @@ import math
 import mpmath
 import numpy as np
 
-from kho import specfun
+from kho import fock, specfun
 from kho.lattice import XI_Q, LatticeState
 
 
@@ -172,3 +175,15 @@ def displacement_mp(m: int, n: int, alpha: complex) -> complex:
         x = abs(a) ** 2
         return complex(mpmath.sqrt(mpmath.factorial(low) / mpmath.factorial(low + d)) * w ** d
                        * mpmath.exp(-x / 2) * mpmath.laguerre(low, d, x))
+
+
+def commutator_norm_dense(params, dim: int, *gens: complex) -> float:
+    """Worst interior max-norm of [F^q, D(gen)] over gens, from the dense
+    F^q: max |fq[:b] D[:, :b] - D[:b] fq[:, :b]| with b the interior block."""
+    b = fock.interior_block(dim)
+    fq = fock.floquet_power(params, dim, params.q)
+    worst = 0.0
+    for gen in gens:
+        dg = specfun.displacement_matrix(gen, dim, block=b)
+        worst = max(worst, float(np.abs(fq[:b] @ dg[:, :b] - dg[:b] @ fq[:, :b]).max()))
+    return worst

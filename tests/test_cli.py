@@ -148,6 +148,24 @@ class TestQfunc:
             "qfunc_eta2-pi_N36.csv",
         ]
 
+    def test_panels_name_each_unsafe_panel(self, tmp_path, capsys):
+        # at D=256 the phi*pi N=36 panel is the only one still safe
+        outdir = tmp_path / "panels"
+        code = main(["qfunc", "--dim", "256", "--window", "10", "--res", "11",
+                     "--out", str(outdir)])
+        assert code == cli.EXIT_TRUNCATION
+        err = capsys.readouterr().err.splitlines()
+        flagged = {"qfunc_eta2-pi_N36.csv": 28, "qfunc_eta2-pi_N108.csv": 28,
+                   "qfunc_eta2-phipi_N108.csv": 37}
+        assert [ln for ln in err if "truncation-unsafe" in ln] == [
+            f"kho qfunc: truncation-unsafe from kick {kick} for {outdir / name}"
+            for name, kick in flagged.items()]
+        for path in outdir.iterdir():
+            warnings = [ln for ln in read_lines(path) if "truncation-unsafe" in ln]
+            kick = flagged.get(path.name)
+            assert warnings == ([] if kick is None else
+                                [f"# warning: truncation-unsafe from kick {kick}"])
+
     def test_default_panels_match_single_runs(self, tmp_path):
         # the panels of one eta^2 share one propagation and all four share one
         # Husimi walk; each file is byte-identical to its own single run,
@@ -312,6 +330,24 @@ class TestVerify:
         checks = verify.run("full")
         assert [c.name for c in checks] == names
         assert all(c.passed for c in checks), [c.line() for c in checks if not c.passed]
+
+    @pytest.mark.parametrize("level, calls", [("quick", 5), ("full", 7)])
+    def test_each_quadrature_is_diagonalized_once(self, eigh_calls, level, calls):
+        # quick: (pi, 128), (pi, 256), (pi, 512), (2pi/sqrt3, 256), (phi*pi, 256);
+        # full: the three eta^2 at D=256 and 512, and (pi, 128).  Each check
+        # measures inside the shared block bitwise what it measures alone.
+        checks = verify.run(level)
+        assert len(eigh_calls) == calls
+        assert fock._SHARED_QUADRATURES.get() is None
+        if level == "quick":
+            return
+        alone = [verify.check_resonant_table(), verify.check_graf_closure(),
+                 verify.check_axis_product(), verify.check_kick_expansion(),
+                 *verify.check_q4_closed_form(), verify.check_state_roundtrip(),
+                 verify.check_q6_cycle(), *verify.check_cross_representation(),
+                 *verify.check_amplified(), *verify.check_commutators()]
+        assert len(eigh_calls) > 2 * calls  # the checks alone share nothing
+        assert [(c.name, c.measured) for c in checks] == [(c.name, c.measured) for c in alone]
 
     def test_skewed_zeta_fails_cross_representation(self, capsys, monkeypatch):
         # a lattice route 5% off in zeta must fail the fidelity check

@@ -3,11 +3,11 @@ import math
 import numpy as np
 import pytest
 
-from kho import fock, model, specfun
+from kho import cli, fock, model, specfun
 from kho.model import SystemParams
 
-from oracles import (evolve_dense, floquet_dense, kick_dense, kick_ground_element,
-                     quasienergy_eig)
+from oracles import (commutator_norm_dense, evolve_dense, floquet_dense, kick_dense,
+                     kick_ground_element, quasienergy_eig)
 
 PHI = model.GOLDEN_RATIO
 
@@ -42,7 +42,8 @@ class TestBuildKick:
     def test_rotated_kick_matches_dense_oracle(self):
         p = params_q4()
         for strength in (1, 3):
-            got = rotated(fock.build_kick(p, 120, strength=strength), 0.7)
+            # the strength-s kick from its parity blocks, turned to the axis here
+            got = rotated(fock._assemble(fock.kick_blocks(p, 120, strength)), 0.7)
             assert np.abs(got - kick_dense(p, 120, strength, theta=0.7)).max() < 1e-13
 
     def test_spectral_vs_exact_element_expansion_interior(self):
@@ -90,7 +91,7 @@ class TestFloquet:
         dim = 192
         prod = np.eye(dim, dtype=complex) * (-1.0) ** p.r
         for j in range(p.q - 1, -1, -1):
-            prod = prod @ fock.kick_expansion_matrix(p, dim, theta=j * p.tau)
+            prod = prod @ rotated(fock.kick_expansion_matrix(p, dim), j * p.tau)
         diff = fock.floquet_power(p, dim, 4) - prod
         assert fock.interior_max(diff, fock.interior_block(dim)) < 1e-6
 
@@ -105,7 +106,8 @@ class TestParity:
     def test_operators_exactly_zero_across_parity(self, dim):
         p = params_q4(eta_sq=PHI * math.pi)
         cross = self.cross(dim)
-        for mat in (fock.build_kick(p, dim), rotated(fock.build_kick(p, dim, 2), 0.7),
+        kick2 = fock._assemble(fock.kick_blocks(p, dim, 2))
+        for mat in (fock.build_kick(p, dim), rotated(kick2, 0.7),
                     fock.floquet_power(p, dim, 1), fock.floquet_power(p, dim, 3),
                     fock.kick_axis_product(p, dim)):
             assert mat.shape == (dim, dim)
@@ -466,6 +468,49 @@ class TestSymmetryCommutator:
         c_gamma = fock.symmetry_commutator_norm(p, 256, gamma)
         c_Gamma = fock.symmetry_commutator_norm(p, 256, Gamma)
         assert c_Gamma > 1e4 * c_gamma
+
+    @pytest.mark.parametrize("which", ["gamma", "Gamma"])
+    @pytest.mark.parametrize("q", [3, 4, 6])
+    @pytest.mark.parametrize("tag", ["principal", "phi*pi"])
+    def test_parity_blocks_match_dense_formula(self, tag, q, which):
+        # off resonance a Gamma generator does not commute, so the max-norm
+        # compared is far from 0 there
+        eta_sq = model.principal_value(q) if tag == "principal" else PHI * math.pi
+        p = SystemParams(r=1, q=q, kappa=-0.8, eta_sq=eta_sq)
+        gens = model.symmetry_generators(q, p.eta, which)
+        got = fock.symmetry_commutator_norm(p, 128, *gens)
+        assert abs(got - commutator_norm_dense(p, 128, *gens)) < 1e-13
+
+
+class TestSharedQuadratures:
+    def test_each_quadrature_once_within_the_block(self, eigh_calls):
+        p = params_q4()
+        alone = fock.floquet_power(p, 64, 3)
+        with fock.shared_quadratures():
+            shared = fock.floquet_power(p, 64, 3)
+            kick = fock.build_kick(p, 64)
+            fock.build_kick(params_q4(kappa=0.3), 64)  # zeta is not part of the quadrature
+            fock.build_kick(p, 32)
+            fock.build_kick(params_q4(eta_sq=PHI * math.pi), 64)
+        assert len(eigh_calls) == 1 + 3  # (pi, 64), (pi, 32) and (phi*pi, 64) in the block
+        assert np.array_equal(shared, alone)
+        assert np.array_equal(kick, fock.build_kick(p, 64))
+        assert len(eigh_calls) == 5  # nothing is kept after the block
+        assert fock._SHARED_QUADRATURES.get() is None
+
+    def test_block_is_reset_after_an_exception(self):
+        with pytest.raises(RuntimeError):
+            with fock.shared_quadratures():
+                fock.build_kick(params_q4(), 16)
+                assert fock._SHARED_QUADRATURES.get()
+                raise RuntimeError
+        assert fock._SHARED_QUADRATURES.get() is None
+
+    def test_scans_share_nothing(self, eigh_calls, tmp_path):
+        assert cli.main(["energy-scan", "--scan-points", "3", "--dim", "32", "--kicks", "5",
+                         "--out", str(tmp_path / "scan.csv")]) == cli.EXIT_TRUNCATION
+        assert len(eigh_calls) == 3
+        assert fock._SHARED_QUADRATURES.get() is None
 
 
 class TestHelpers:
