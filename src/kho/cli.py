@@ -62,9 +62,6 @@ def _finite_complex(text: str) -> complex:
     return value
 
 
-_finite_complex.__name__ = "complex"  # argparse names the type in its invalid-value message
-
-
 def _parse_window(text: str) -> tuple[float, float, float, float]:
     parts = [float(p) for p in text.split(",")]
     if len(parts) == 1:
@@ -90,6 +87,10 @@ def _parse_res(text: str) -> tuple[int, int]:
     if len(parts) == 2:
         return tuple(parts)
     raise argparse.ArgumentTypeError("res must be N or n_re,n_im")
+
+
+# argparse names a type in its invalid-value message
+_finite_complex.__name__, _parse_window.__name__, _parse_res.__name__ = "complex", "window", "res"
 
 
 ETA2_HELP = "eta^2, symbolic: float | pi | pi/2 | 2pi/sqrt3 | phi*pi | a/b*pi"
@@ -306,6 +307,8 @@ def cmd_spectrum(args) -> int:
 
 
 def cmd_resonances(args) -> int:
+    if args.q_min > args.q_max:
+        raise ValueError(f"--q-min {args.q_min} exceeds --q-max {args.q_max}")
     table = {}
     for q in range(args.q_min, args.q_max + 1):
         rc = model.resonant_values(q)

@@ -3,11 +3,11 @@ Floquet operator construction, state propagation, quasienergy spectra, and
 phase-space observables.
 
 Parity.  cos(eta x) is even, so neither the kick nor the free factor couples
-even and odd number states: the kick and F are block diagonal.  `kick_blocks`
-and `floquet` return them as their even block (rows and columns 0, 2, 4,
-...) and odd block (1, 3, 5, ...).  The dense matrices (`build_kick`,
-`floquet_power`, `kick_axis_product`) are assembled from the blocks, with
-exact zeros where m + n is odd.  Propagation applies each block to its own
+even and odd number states: the kick and F are block diagonal.  Every
+operator here is the tuple of its even block (rows and columns 0, 2, 4,
+...) and odd block (1, 3, 5, ...), and `interior_max` and
+`mismatch_up_to_phase` compare such tuples: no D x D matrix of them is
+assembled.  Propagation applies each block to its own
 parity sector and neither builds nor applies the block of a sector without
 amplitude, which stays exactly empty: a ground state only ever meets the
 even block.  `evolve`, `evolve_at` and `kicks_to_energy` share one kick loop
@@ -67,6 +67,8 @@ DEFAULT_LEAK_TOL = 1e-8
 DEFAULT_EDGE_BUFFER = 8.0  # phase-space radius units, see interior_block
 EIGEN_RESIDUAL_TOL = 1e-10  # max ||S o_k - mu_k o_k|| accepted by quasienergy_spectrum
 _CAYLEY_SHIFTS = 3  # Cayley shifts quasienergy_spectrum tries before it raises
+_DOUBLING_START = 256  # first basis size doubling_rule tries
+_DOUBLING_MAX_DIM = 2048  # largest basis size doubling_rule tries
 
 
 @dataclass
@@ -98,24 +100,15 @@ class EvolveResult:
 
 @dataclass
 class QGrid:
-    """Sampled Husimi distribution over a rectangular phase-space window.
-
-    values[i_im, i_re] = Q(re_axis[i_re] + 1j*im_axis[i_im]).
-    """
+    """Sampled Husimi distribution over a rectangular phase-space window:
+    values[i_im, i_re] is Q at the i_re-th of n_re real parts spaced evenly
+    from re_min to re_max, and the i_im-th of n_im imaginary parts."""
 
     re_min: float
     re_max: float
     im_min: float
     im_max: float
     values: np.ndarray
-
-    @property
-    def re_axis(self) -> np.ndarray:
-        return np.linspace(self.re_min, self.re_max, self.values.shape[1])
-
-    @property
-    def im_axis(self) -> np.ndarray:
-        return np.linspace(self.im_min, self.im_max, self.values.shape[0])
 
     def riemann_sum(self) -> float:
         n_im, n_re = self.values.shape
@@ -153,28 +146,12 @@ def coherent_state(alpha: complex, dim: int) -> FockVector:
     return FockVector(amps / norm)
 
 
-def mean_energy(state: FockVector) -> float:
-    """<n + 1/2> in units of hbar*omega."""
-    n = np.arange(state.dim)
-    return float(np.sum(np.abs(state.amps) ** 2 * (n + 0.5)))
-
-
 def fidelity(a: FockVector, b: FockVector) -> float:
     return float(abs(np.vdot(a.amps, b.amps)) ** 2)
 
 
 # ---------------------------------------------------------------------------
 # operator construction
-
-
-def _assemble(blocks) -> np.ndarray:
-    """Dense matrix from its (even, odd) parity blocks."""
-    even, odd = blocks
-    dim = even.shape[0] + odd.shape[0]
-    out = np.zeros((dim, dim), dtype=complex)
-    out[0::2, 0::2] = even
-    out[1::2, 1::2] = odd
-    return out
 
 
 # (eta, dim) -> (x, V) inside a shared_quadratures() block, None outside one
@@ -234,13 +211,6 @@ def _axis_turn(theta: float, n: np.ndarray) -> np.ndarray:
     return np.outer(turn, turn.conj())
 
 
-def build_kick(params: SystemParams, dim: int) -> np.ndarray:
-    """Kick factor exp(i*zeta*cos[eta*(a + a^dag)]) of the Floquet operator.
-    Exactly unitary by spectral construction, and exactly 0 where m + n is
-    odd."""
-    return _assemble(kick_blocks(params, dim))
-
-
 def _free_phases(params: SystemParams, dim: int) -> np.ndarray:
     return np.exp(-1j * (np.arange(dim) + 0.5) * params.tau)
 
@@ -257,17 +227,16 @@ def floquet(params: SystemParams, dim: int,
     return blocks
 
 
-def floquet_power(params: SystemParams, dim: int, p: int) -> np.ndarray:
-    """F^p by repeated multiplication of each parity block."""
+def floquet_power(params: SystemParams, dim: int, p: int) -> tuple[np.ndarray, ...]:
+    """Parity blocks of F^p, by repeated multiplication of each block."""
     if p < 0:
         raise ValueError("p must be nonnegative")
-    return _assemble([np.linalg.matrix_power(block, p)
-                      for block in floquet(params, dim)])
+    return tuple(np.linalg.matrix_power(block, p) for block in floquet(params, dim))
 
 
-def kick_axis_product(params: SystemParams, dim: int, v: int = 1) -> np.ndarray:
-    """The q-axis product form of F^q: a sequence of q cosine kicks along
-    axes rotated by 2*pi*j*r/q, with kick strength amplified by v.
+def kick_axis_product(params: SystemParams, dim: int, v: int = 1) -> tuple[np.ndarray, ...]:
+    """Parity blocks of the q-axis product form of F^q: q cosine kicks
+    along axes rotated by 2*pi*j*r/q, with kick strength amplified by v.
 
     Includes the global phase (-1)^{r v} from the free evolution over full
     oscillator periods, which makes the v = 1 case equal F^q exactly.  The
@@ -281,12 +250,13 @@ def kick_axis_product(params: SystemParams, dim: int, v: int = 1) -> np.ndarray:
         for j in range(q - 1, -1, -1):
             out = out @ (kick * _axis_turn(j * params.tau, n))
         blocks.append(out)
-    return _assemble(blocks)
+    return tuple(blocks)
 
 
-def amplified_kick_operator(params: SystemParams, dim: int, v: int) -> np.ndarray:
-    """Single q-fold diffraction with kick strength kappa*v, equal (up to
-    global phase) to F^{q v} when eta^2 sits on a quantum resonance."""
+def amplified_kick_operator(params: SystemParams, dim: int, v: int) -> tuple[np.ndarray, ...]:
+    """Parity blocks of the single q-fold diffraction with kick strength
+    kappa*v, equal (up to global phase) to F^{q v} when eta^2 sits on a
+    quantum resonance."""
     if v < 1:
         raise ValueError("v must be >= 1")
     res = classify(params.eta_sq, params.q)
@@ -301,17 +271,15 @@ def kick_expansion_matrix(params: SystemParams, dim: int) -> np.ndarray:
     """Kick factor assembled from its displacement-operator expansion,
     sum_k i^k J_k(zeta) D(i k eta), with exact matrix elements.
 
-    Independent verification route for build_kick; the k-sum truncates at
-    k_cutoff(zeta).
+    Independent verification route for kick_blocks, dense as it is not
+    exactly 0 across parity; the k-sum truncates at k_cutoff(zeta).
     """
     kc = specfun.k_cutoff(params.zeta)
     out = np.zeros((dim, dim), dtype=complex)
-    for k in range(-kc, kc + 1):
-        jk = specfun.bessel_j(k, params.zeta)
+    for k, jk in zip(range(-kc, kc + 1), specfun.bessel_range(params.zeta, -kc, kc).tolist()):
         if jk == 0.0:
             continue
-        disp = specfun.displacement_matrix(1j * k * params.eta, dim)
-        out += (1j) ** k * jk * disp
+        out += (1j) ** k * jk * specfun.displacement_matrix(1j * k * params.eta, dim)
     return out
 
 
@@ -329,21 +297,29 @@ def interior_block(dim: int) -> int:
     return int(root * root)
 
 
-def interior_max(mat: np.ndarray, block: int) -> float:
-    """Max-norm over the leading block x block submatrix."""
-    return float(np.abs(mat[:block, :block]).max())
+def _interior(s: int, block: int) -> int:
+    """The states of parity s below block: the interior of parity block s."""
+    return (block + 1 - s) // 2
 
 
-def phase_align(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Rotate a by the global phase that matches b at b's largest element."""
-    idx = np.unravel_index(np.argmax(np.abs(b)), b.shape)
-    ratio = b[idx] / a[idx]
-    return a * (ratio / abs(ratio))
+def interior_max(blocks, block: int) -> float:
+    """Max-norm over the leading block x block submatrix of the operator
+    with these parity blocks."""
+    maxima = [np.abs(mat[:_interior(s, block), :_interior(s, block)]).max(initial=0.0)
+              for s, mat in enumerate(blocks)]
+    return float(np.max(maxima))  # not max(): a NaN must carry through
 
 
-def mismatch_up_to_phase(a: np.ndarray, b: np.ndarray, block: int) -> float:
-    """Interior max-norm of (a - b) after aligning global phases."""
-    return interior_max(b - phase_align(a, b), block)
+def mismatch_up_to_phase(a, b, block: int) -> float:
+    """Interior max-norm of b - a e^{i phi}, for parity blocks a and b, with
+    phi the phase that matches a to b at b's largest entry (the first in
+    the even block, then the odd one, on a tie)."""
+    mags = [np.abs(mat) for mat in b]
+    s = int(np.argmax([mag.max(initial=0.0) for mag in mags]))
+    idx = np.unravel_index(np.argmax(mags[s]), mags[s].shape)
+    ratio = b[s][idx] / a[s][idx]
+    turn = ratio / abs(ratio)
+    return interior_max([mat_b - mat_a * turn for mat_a, mat_b in zip(a, b)], block)
 
 
 def symmetry_commutator_norm(params: SystemParams, dim: int, *gens: complex) -> float:
@@ -360,15 +336,15 @@ def symmetry_commutator_norm(params: SystemParams, dim: int, *gens: complex) -> 
     if not gens:
         return 0.0
     b = interior_block(dim)
-    fq = [np.linalg.matrix_power(block, params.q) for block in floquet(params, dim)]
+    fq = floquet_power(params, dim, params.q)
     worst = 0.0
     for gen in gens:
         dg = specfun.displacement_matrix(gen, dim, block=b)  # rows and columns < b only
         comm = np.empty((b, b), dtype=complex)
         for s, block in enumerate(fq):
-            comm[s::2] = block[:len(range(s, b, 2))] @ dg[s::2, :b]
+            comm[s::2] = block[:_interior(s, b)] @ dg[s::2, :b]
         for s, block in enumerate(fq):
-            comm[:, s::2] -= dg[:b, s::2] @ block[:, :len(range(s, b, 2))]
+            comm[:, s::2] -= dg[:b, s::2] @ block[:, :_interior(s, b)]
         worst = max(worst, float(np.abs(comm).max()))
         del dg  # else it stays alive while the next generator's is built
     return worst
@@ -449,7 +425,7 @@ def evolve_at(state: FockVector, params: SystemParams, kick_counts) -> list[Evol
 
 
 def kicks_to_energy(params: SystemParams, e_target: float, n_max: int,
-                    dim: int = 500) -> EvolveResult:
+                    dim: int) -> EvolveResult:
     """Evolve the ground state until its mean energy reaches e_target (units
     hbar*omega), or for n_max kicks if it never does: the last of the
     energies is the first to reach e_target, if any does."""
@@ -489,12 +465,6 @@ def q_functions(states, window: tuple[float, float, float, float],
                 overlap += amp * c_n
     return [QGrid(re_min, re_max, im_min, im_max, np.abs(overlap) ** 2 / np.pi)
             for overlap in overlaps]
-
-
-def q_function(state: FockVector, window: tuple[float, float, float, float],
-               resolution: tuple[int, int]) -> QGrid:
-    """Husimi distribution Q(alpha) = |<psi|alpha>|^2 / pi on a grid."""
-    return q_functions([state], window, resolution)[0]
 
 
 def quasienergy_spectrum(params: SystemParams, dim: int) -> SpectrumResult:
@@ -573,12 +543,12 @@ class DoublingResult:
     converged: bool
 
 
-def doubling_rule(observable, start: int = 256, max_dim: int = 2048) -> DoublingResult:
+def doubling_rule(observable) -> DoublingResult:
     """Accept the observable at dimension D once recomputing at 2D moves it
     by at most 1e-6 (relative); observable is a callable of D."""
-    d = start
+    d = _DOUBLING_START
     val = observable(d)
-    while 2 * d <= max_dim:
+    while 2 * d <= _DOUBLING_MAX_DIM:
         val2 = observable(2 * d)
         if abs(val2 - val) <= 1e-6 * max(1.0, abs(val)):
             return DoublingResult(value=val, dim=d, converged=True)

@@ -174,15 +174,6 @@ def z_values(q: int) -> list[float]:
     return sorted(vals)
 
 
-def principal_value(q: int) -> float | None:
-    """Principal quantum-resonance value of eta^2 for the given q, if any."""
-    if q == 4:
-        return math.pi
-    if q in (3, 6):
-        return 2.0 * math.pi / math.sqrt(3.0)
-    return None
-
-
 def resonant_values(q: int) -> ResonanceClass:
     """Resonance metadata for a kick count q: the principal eta^2, trivial
     period, or impossibility."""
@@ -190,10 +181,10 @@ def resonant_values(q: int) -> ResonanceClass:
         raise ValueError("q must be a positive integer")
     if q in (1, 2):
         return ResonanceClass(kind=ResonanceKind.TRIVIAL_PERIOD)
-    p = principal_value(q)
-    if p is None:
+    if q not in CRYSTAL_Q:
         return ResonanceClass(kind=ResonanceKind.NO_RESONANCE_POSSIBLE)
-    return ResonanceClass(kind=ResonanceKind.RESONANT, principal=p)
+    principal = math.pi if q == 4 else 2.0 * math.pi / math.sqrt(3.0)
+    return ResonanceClass(kind=ResonanceKind.RESONANT, principal=principal)
 
 
 def commutation_phase(eta_sq: float, q: int, r: int, k_m: int, k_n: int, dj: int) -> complex:

@@ -2,10 +2,11 @@
 helpers, displacement-operator matrix elements and coherent-state amplitudes.
 
 Everything here is a pure function of its arguments.  Bessel values come
-from scipy.special.jv, tabulated over orders 0..n per argument and cached;
-scipy.special is imported at the first Bessel table or displacement matrix,
-so the paths that need neither (qfunc, spectrum, resonances) never load it;
-negative orders follow from J_{-n}(x) = (-1)^n J_n(x) in bessel_range.
+from scipy.special.jv, tabulated over orders 0..n per argument and cached,
+and are read through bessel_range, which takes negative orders from
+J_{-n}(x) = (-1)^n J_n(x); bessel_j is its one-order case.  scipy.special
+is imported at the first Bessel table or displacement matrix, so the paths
+that need neither (qfunc, spectrum, resonances) never load it.
 Displacement matrix elements use the associated-Laguerre closed form with
 factorial ratios carried in log space, so they remain finite at orders of a
 few thousand.  Coherent amplitudes c_n(alpha) come from one recurrence over
@@ -47,18 +48,6 @@ def _cached_table(x: float, order_max: int) -> np.ndarray:
     return out
 
 
-def bessel_table(x: float, order_max: int) -> np.ndarray:
-    """Return [J_0(x), ..., J_order_max(x)] as a read-only array.
-
-    Cached per (x, order_max); safe for concurrent read.
-    """
-    if not math.isfinite(x):
-        raise ValueError(f"Bessel argument must be finite, got {x}")
-    if order_max < 0:
-        raise ValueError("order_max must be nonnegative")
-    return _cached_table(float(x), int(order_max))
-
-
 def bessel_j(n: int, x: float) -> float:
     """Integer-order cylindrical Bessel function J_n(x)."""
     n = int(n)
@@ -73,7 +62,7 @@ def k_cutoff(zeta: float, tol: float = 1e-14) -> int:
     tail bound: |J_k(zeta)| < tol for every k >= k_cutoff(zeta).
     """
     guess = int(abs(zeta)) + 60
-    table = bessel_table(zeta, guess)
+    table = bessel_range(zeta, 0, guess)
     kc = int(np.nonzero(np.abs(table) >= tol)[0][-1]) + 1
     if kc > guess:
         raise RuntimeError(f"no cutoff below tol={tol} found for zeta={zeta}")
@@ -82,8 +71,9 @@ def k_cutoff(zeta: float, tol: float = 1e-14) -> int:
 
 def bessel_range(zeta: float, k_lo: int, k_hi: int) -> np.ndarray:
     """J_k(zeta) for k = k_lo..k_hi inclusive (negative orders via parity)."""
-    top = max(abs(k_lo), abs(k_hi))
-    table = bessel_table(zeta, top)
+    if not math.isfinite(zeta):
+        raise ValueError(f"Bessel argument must be finite, got {zeta}")
+    table = _cached_table(float(zeta), int(max(abs(k_lo), abs(k_hi))))
     ks = np.arange(k_lo, k_hi + 1)
     vals = table[np.abs(ks)].copy()
     odd_neg = (ks < 0) & (ks % 2 != 0)

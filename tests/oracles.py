@@ -13,10 +13,11 @@ turns axes by similarity), propagation applies the dense D x D Floquet
 matrix, quasienergy spectra come from a general complex eigensolve of it
 (the implementation uses a real symmetric Cayley transform per parity block),
 coherent amplitudes come from the closed form in mpmath at 40 digits (the
-implementation runs a rescaled recurrence in double precision), and the
+implementation runs a rescaled recurrence in double precision), the
 symmetry commutators multiply the dense F^q, zeros across parity included
 (the implementation multiplies each parity block by its rows or columns of
-the displacement).
+the displacement), and interior comparisons slice the dense matrices
+assembled from parity blocks (the implementation slices each block).
 """
 
 import math
@@ -177,11 +178,38 @@ def displacement_mp(m: int, n: int, alpha: complex) -> complex:
                        * mpmath.exp(-x / 2) * mpmath.laguerre(low, d, x))
 
 
+def assemble(blocks) -> np.ndarray:
+    """Dense matrix from its (even, odd) parity blocks, 0 across parity."""
+    even, odd = blocks
+    dim = even.shape[0] + odd.shape[0]
+    out = np.zeros((dim, dim), dtype=complex)
+    out[0::2, 0::2] = even
+    out[1::2, 1::2] = odd
+    return out
+
+
+def interior_max_dense(mat: np.ndarray, block: int) -> float:
+    """Max-norm over the leading block x block submatrix."""
+    return float(np.abs(mat[:block, :block]).max())
+
+
+def phase_align(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Rotate a by the global phase that matches b at b's largest element."""
+    idx = np.unravel_index(np.argmax(np.abs(b)), b.shape)
+    ratio = b[idx] / a[idx]
+    return a * (ratio / abs(ratio))
+
+
+def mismatch_up_to_phase_dense(a: np.ndarray, b: np.ndarray, block: int) -> float:
+    """Interior max-norm of (a - b) after aligning global phases."""
+    return interior_max_dense(b - phase_align(a, b), block)
+
+
 def commutator_norm_dense(params, dim: int, *gens: complex) -> float:
     """Worst interior max-norm of [F^q, D(gen)] over gens, from the dense
     F^q: max |fq[:b] D[:, :b] - D[:b] fq[:, :b]| with b the interior block."""
     b = fock.interior_block(dim)
-    fq = fock.floquet_power(params, dim, params.q)
+    fq = assemble(fock.floquet_power(params, dim, params.q))
     worst = 0.0
     for gen in gens:
         dg = specfun.displacement_matrix(gen, dim, block=b)

@@ -465,6 +465,9 @@ class TestUsageErrors:
         ["evolve", "--eta2=--"],
         ["qfunc", "--eta2=--", "--dim", "4"],
         ["spectrum", "--scan-min=--"],
+        ["resonances", "--q-min", "5", "--q-max", "3"],  # an empty range
+        ["qfunc", "--eta2", "pi", "--res", "2.5"],
+        ["qfunc", "--eta2", "pi", "--window", "abc"],
     ])
     def test_bad_input_is_clean_usage_error(self, tmp_path, capsys, argv):
         # an uncaught exception, or a numpy warning raised as one, would
@@ -479,6 +482,7 @@ class TestUsageErrors:
         err = capsys.readouterr().err
         assert "kho: error:" in err
         assert "Traceback" not in err
+        assert "invalid _" not in err  # a value's type is named, not its private parser
 
     @pytest.mark.parametrize("argv", [
         ["evolve", "--dim", "32", "--kicks", "1", "--out", "{missing}/x.csv"],

@@ -3,11 +3,12 @@ import math
 import numpy as np
 import pytest
 
-from kho import cli, fock, model, specfun
+from kho import cli, fock, model, specfun, verify
 from kho.model import SystemParams
 
-from oracles import (commutator_norm_dense, evolve_dense, floquet_dense, kick_dense,
-                     kick_ground_element, quasienergy_eig)
+from oracles import (assemble, commutator_norm_dense, evolve_dense, floquet_dense,
+                     interior_max_dense, kick_dense, kick_ground_element,
+                     mismatch_up_to_phase_dense, quasienergy_eig)
 
 PHI = model.GOLDEN_RATIO
 
@@ -26,16 +27,16 @@ def rotated(kick, theta):
 class TestBuildKick:
     def test_zero_kick_is_identity(self):
         p = params_q4(kappa=0.0)
-        assert np.abs(fock.build_kick(p, 64) - np.eye(64)).max() < 1e-14
+        assert np.abs(assemble(fock.kick_blocks(p, 64)) - np.eye(64)).max() < 1e-14
 
     def test_exact_unitarity(self):
         p = params_q4()
-        u = fock.build_kick(p, 128)
+        u = assemble(fock.kick_blocks(p, 128))
         assert np.abs(u @ u.conj().T - np.eye(128)).max() < 1e-12
 
     def test_ground_element_matches_displacement_expansion(self):
         p = params_q4()
-        u = fock.build_kick(p, 256)
+        u = fock.kick_blocks(p, 256)[0]  # <0|U|0> is in the even block
         oracle = kick_ground_element(p.zeta, p.eta_sq)
         assert abs(u[0, 0] - oracle) < 1e-12
 
@@ -43,43 +44,45 @@ class TestBuildKick:
         p = params_q4()
         for strength in (1, 3):
             # the strength-s kick from its parity blocks, turned to the axis here
-            got = rotated(fock._assemble(fock.kick_blocks(p, 120, strength)), 0.7)
+            got = rotated(assemble(fock.kick_blocks(p, 120, strength)), 0.7)
             assert np.abs(got - kick_dense(p, 120, strength, theta=0.7)).max() < 1e-13
 
     def test_spectral_vs_exact_element_expansion_interior(self):
         p = params_q4()
         dim = 256
-        diff = fock.build_kick(p, dim) - fock.kick_expansion_matrix(p, dim)
-        assert fock.interior_max(diff, fock.interior_block(dim)) < 1e-8
+        diff = assemble(fock.kick_blocks(p, dim)) - fock.kick_expansion_matrix(p, dim)
+        assert interior_max_dense(diff, fock.interior_block(dim)) < 1e-8
 
 
 class TestFloquet:
     def test_unitary_everywhere(self):
-        f = fock.floquet_power(params_q4(), 256, 1)
+        f = assemble(fock.floquet_power(params_q4(), 256, 1))
         defect = f @ f.conj().T - np.eye(256)
         assert np.abs(defect).max() < 1e-12
         assert f.shape == (256, 256)
 
     def test_power_zero_is_identity(self):
-        assert np.abs(fock.floquet_power(params_q4(), 32, 0) - np.eye(32)).max() == 0.0
+        assert np.abs(assemble(fock.floquet_power(params_q4(), 32, 0)) - np.eye(32)).max() == 0.0
 
     def test_axis_product_identity(self):
         p = params_q4()
-        diff = fock.floquet_power(p, 256, 4) - fock.kick_axis_product(p, 256)
+        diff = [a - b for a, b in zip(fock.floquet_power(p, 256, 4),
+                                      fock.kick_axis_product(p, 256))]
         assert fock.interior_max(diff, fock.interior_block(256)) < 1e-8
         # the rearrangement is an exact matrix identity, so in fact machine-level
-        assert np.abs(diff).max() < 1e-11
+        assert fock.interior_max(diff, 256) < 1e-11
 
     def test_axis_product_identity_q3_q6(self):
         for q in (3, 6):
             p = SystemParams(r=1, q=q, kappa=-0.8, eta_sq=2 * math.pi / math.sqrt(3))
-            diff = fock.floquet_power(p, 128, q) - fock.kick_axis_product(p, 128)
-            assert np.abs(diff).max() < 1e-11
+            diff = [a - b for a, b in zip(fock.floquet_power(p, 128, q),
+                                          fock.kick_axis_product(p, 128))]
+            assert fock.interior_max(diff, 128) < 1e-11
 
     def test_free_evolution_full_periods(self):
         for r, sign in ((1, -1.0), (2, 1.0)):
             p = SystemParams(r=r, q=4 if r == 1 else 5, kappa=0.0, eta_sq=math.pi)
-            fq = fock.floquet_power(p, 32, p.q)
+            fq = assemble(fock.floquet_power(p, 32, p.q))
             assert np.abs(fq - sign * np.eye(32)).max() < 1e-10
 
     def test_displacement_sum_product_route_small_zeta(self):
@@ -92,32 +95,31 @@ class TestFloquet:
         prod = np.eye(dim, dtype=complex) * (-1.0) ** p.r
         for j in range(p.q - 1, -1, -1):
             prod = prod @ rotated(fock.kick_expansion_matrix(p, dim), j * p.tau)
-        diff = fock.floquet_power(p, dim, 4) - prod
-        assert fock.interior_max(diff, fock.interior_block(dim)) < 1e-6
+        diff = assemble(fock.floquet_power(p, dim, 4)) - prod
+        assert interior_max_dense(diff, fock.interior_block(dim)) < 1e-6
 
 
 class TestParity:
-    @staticmethod
-    def cross(dim):
-        m, n = np.indices((dim, dim))
-        return (m + n) % 2 == 1
-
     @pytest.mark.parametrize("dim", [63, 64])
     def test_operators_exactly_zero_across_parity(self, dim):
+        # the operators are held as their parity blocks, which leave out the
+        # entries across parity: the dense oracles put only rounding there
         p = params_q4(eta_sq=PHI * math.pi)
-        cross = self.cross(dim)
-        kick2 = fock._assemble(fock.kick_blocks(p, dim, 2))
-        for mat in (fock.build_kick(p, dim), rotated(kick2, 0.7),
-                    fock.floquet_power(p, dim, 1), fock.floquet_power(p, dim, 3),
-                    fock.kick_axis_product(p, dim)):
-            assert mat.shape == (dim, dim)
-            assert np.all(mat[cross] == 0.0)
-            assert np.abs(mat[~cross]).max() > 0.1
+        m, n = np.indices((dim, dim))
+        cross = (m + n) % 2 == 1
+        for mat in (kick_dense(p, dim, 2, theta=0.7), floquet_dense(p, dim)):
+            assert np.abs(mat[cross]).max() < 1e-13
+        for blocks in (fock.kick_blocks(p, dim), fock.kick_blocks(p, dim, 2),
+                       fock.floquet_power(p, dim, 1), fock.floquet_power(p, dim, 3),
+                       fock.kick_axis_product(p, dim)):
+            assert [b.shape for b in blocks] == [((dim + 1) // 2,) * 2, (dim // 2,) * 2]
+            assert min(np.abs(b).max() for b in blocks) > 0.1
 
     @pytest.mark.parametrize("dim", [63, 64])
     def test_floquet_matches_dense_oracle(self, dim):
         p = params_q4(eta_sq=PHI * math.pi)
-        assert np.abs(fock.floquet_power(p, dim, 1) - floquet_dense(p, dim)).max() < 1e-13
+        f = assemble(fock.floquet_power(p, dim, 1))
+        assert np.abs(f - floquet_dense(p, dim)).max() < 1e-13
 
     def test_ground_state_keeps_odd_sector_empty(self):
         res = fock.evolve(fock.ground_state(129), params_q4(), 60)
@@ -173,8 +175,9 @@ class TestParity:
 class TestAmplified:
     def test_v1_equals_fq(self):
         p = params_q4()
-        diff = fock.amplified_kick_operator(p, 128, 1) - fock.floquet_power(p, 128, 4)
-        assert np.abs(diff).max() < 1e-11
+        diff = [a - b for a, b in zip(fock.amplified_kick_operator(p, 128, 1),
+                                      fock.floquet_power(p, 128, 4))]
+        assert fock.interior_max(diff, 128) < 1e-11
 
     def test_nonresonant_rejected(self):
         with pytest.raises(model.NonresonantError):
@@ -238,26 +241,31 @@ class TestEvolve:
 
 
 class TestMeanEnergy:
+    @staticmethod
+    def energy(state):
+        """<n + 1/2> before the first kick."""
+        return fock.evolve(state, params_q4(), 0).energies[0]
+
     def test_ground(self):
-        assert fock.mean_energy(fock.ground_state(16)) == 0.5
+        assert self.energy(fock.ground_state(16)) == 0.5
 
     def test_number_state(self):
         amps = np.zeros(16, dtype=complex)
         amps[2] = 1.0
-        assert fock.mean_energy(fock.FockVector(amps)) == 2.5
+        assert self.energy(fock.FockVector(amps)) == 2.5
 
     def test_coherent(self):
-        assert fock.mean_energy(fock.coherent_state(1.0, 64)) == pytest.approx(1.5, abs=1e-10)
+        assert self.energy(fock.coherent_state(1.0, 64)) == pytest.approx(1.5, abs=1e-10)
 
 
 class TestQFunction:
     def test_vacuum_at_origin(self):
-        g = fock.q_function(fock.ground_state(32), (-0.0, 0.0, 0.0, 0.0), (1, 1))
+        g = fock.q_functions([fock.ground_state(32)], (-0.0, 0.0, 0.0, 0.0), (1, 1))[0]
         assert g.values[0, 0] == pytest.approx(1 / math.pi, rel=1e-12)
 
     def test_vacuum_gaussian(self):
-        g = fock.q_function(fock.ground_state(48), (-2.0, 2.0, -1.0, 1.0), (21, 11))
-        rr, ii = np.meshgrid(g.re_axis, g.im_axis)
+        g = fock.q_functions([fock.ground_state(48)], (-2.0, 2.0, -1.0, 1.0), (21, 11))[0]
+        rr, ii = np.meshgrid(np.linspace(-2.0, 2.0, 21), np.linspace(-1.0, 1.0, 11))
         want = np.exp(-(rr ** 2 + ii ** 2)) / math.pi
         assert np.abs(g.values - want).max() < 1e-12
 
@@ -278,12 +286,12 @@ class TestQFunction:
                 if amp:
                     overlap += amp * c_n
             assert np.array_equal(grid.values, np.abs(overlap) ** 2 / np.pi)
-            assert np.array_equal(grid.values, fock.q_function(state, window, res).values)
+            assert np.array_equal(grid.values, fock.q_functions([state], window, res)[0].values)
             assert (grid.re_min, grid.re_max, grid.im_min, grid.im_max) == window
 
     def test_riemann_normalization(self):
         st = fock.coherent_state(0.7 - 0.3j, 96)
-        g = fock.q_function(st, (-8.0, 8.0, -8.0, 8.0), (161, 161))
+        g = fock.q_functions([st], (-8.0, 8.0, -8.0, 8.0), (161, 161))[0]
         assert g.riemann_sum() == pytest.approx(1.0, abs=1e-3)
         assert g.riemann_sum() <= 1.0 + 1e-3
 
@@ -291,7 +299,7 @@ class TestQFunction:
         # e^{-|alpha|^2/2} underflows to 0 on most of this grid; the basis
         # holds the state (top-tenth population 1e-19)
         st = fock.coherent_state(38.0, 2000)
-        g = fock.q_function(st, (30.0, 46.0, -8.0, 8.0), (161, 161))
+        g = fock.q_functions([st], (30.0, 46.0, -8.0, 8.0), (161, 161))[0]
         assert abs(g.riemann_sum() - 1.0) < 1e-6
 
     def test_fourfold_symmetry_after_full_resonant_periods(self):
@@ -304,7 +312,7 @@ class TestQFunction:
             qs = []
             for rot in (1, 1j, -1, -1j):
                 b = a * rot
-                grid = fock.q_function(st, (b.real, b.real, b.imag, b.imag), (1, 1))
+                grid = fock.q_functions([st], (b.real, b.real, b.imag, b.imag), (1, 1))[0]
                 qs.append(grid.values[0, 0])
             assert max(qs) - min(qs) < 1e-10
 
@@ -475,7 +483,7 @@ class TestSymmetryCommutator:
     def test_parity_blocks_match_dense_formula(self, tag, q, which):
         # off resonance a Gamma generator does not commute, so the max-norm
         # compared is far from 0 there
-        eta_sq = model.principal_value(q) if tag == "principal" else PHI * math.pi
+        eta_sq = model.resonant_values(q).principal if tag == "principal" else PHI * math.pi
         p = SystemParams(r=1, q=q, kappa=-0.8, eta_sq=eta_sq)
         gens = model.symmetry_generators(q, p.eta, which)
         got = fock.symmetry_commutator_norm(p, 128, *gens)
@@ -488,20 +496,20 @@ class TestSharedQuadratures:
         alone = fock.floquet_power(p, 64, 3)
         with fock.shared_quadratures():
             shared = fock.floquet_power(p, 64, 3)
-            kick = fock.build_kick(p, 64)
-            fock.build_kick(params_q4(kappa=0.3), 64)  # zeta is not part of the quadrature
-            fock.build_kick(p, 32)
-            fock.build_kick(params_q4(eta_sq=PHI * math.pi), 64)
+            kick = fock.kick_blocks(p, 64)
+            fock.kick_blocks(params_q4(kappa=0.3), 64)  # zeta is not part of the quadrature
+            fock.kick_blocks(p, 32)
+            fock.kick_blocks(params_q4(eta_sq=PHI * math.pi), 64)
         assert len(eigh_calls) == 1 + 3  # (pi, 64), (pi, 32) and (phi*pi, 64) in the block
-        assert np.array_equal(shared, alone)
-        assert np.array_equal(kick, fock.build_kick(p, 64))
+        for got, want in ((shared, alone), (kick, fock.kick_blocks(p, 64))):
+            assert all(np.array_equal(a, b) for a, b in zip(got, want))
         assert len(eigh_calls) == 5  # nothing is kept after the block
         assert fock._SHARED_QUADRATURES.get() is None
 
     def test_block_is_reset_after_an_exception(self):
         with pytest.raises(RuntimeError):
             with fock.shared_quadratures():
-                fock.build_kick(params_q4(), 16)
+                fock.kick_blocks(params_q4(), 16)
                 assert fock._SHARED_QUADRATURES.get()
                 raise RuntimeError
         assert fock._SHARED_QUADRATURES.get() is None
@@ -520,11 +528,36 @@ class TestHelpers:
         with pytest.raises(ValueError):
             fock.interior_block(64)
 
+    @staticmethod
+    def random_blocks(rng, dim):
+        return tuple(rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))
+                     for n in ((dim + 1) // 2, dim // 2))
+
     def test_phase_align(self):
+        # blocks that differ by a global phase: mismatch_up_to_phase aligns it
         rng = np.random.default_rng(0)
-        b = rng.normal(size=(8, 8)) + 1j * rng.normal(size=(8, 8))
-        a = b * np.exp(0.73j)
-        assert np.abs(fock.phase_align(a, b) - b).max() < 1e-12
+        b = self.random_blocks(rng, 16)
+        a = tuple(mat * np.exp(0.73j) for mat in b)
+        assert fock.mismatch_up_to_phase(a, b, 16) < 1e-12
+
+    @pytest.mark.parametrize("dim", [63, 64])
+    def test_block_comparisons_equal_dense_references_bitwise(self, dim):
+        rng = np.random.default_rng(dim)
+        a, b = self.random_blocks(rng, dim), self.random_blocks(rng, dim)
+        for block in (dim, dim - 1, 21, 20, 1):
+            assert fock.interior_max(b, block) == interior_max_dense(assemble(b), block)
+            assert (fock.mismatch_up_to_phase(a, b, block)
+                    == mismatch_up_to_phase_dense(assemble(a), assemble(b), block))
+
+    def test_verify_comparisons_equal_dense_formulas_bitwise(self):
+        p = verify.Q4
+        fq, prod = (assemble(m) for m in (fock.floquet_power(p, 128, p.q),
+                                          fock.kick_axis_product(p, 128)))
+        assert verify.check_axis_product().measured == float(np.abs(fq - prod).max())
+        block = fock.interior_block(256)
+        diff = (assemble(fock.kick_blocks(p, 256))[:block, :block]
+                - fock.kick_expansion_matrix(p, block))
+        assert verify.check_kick_expansion().measured == interior_max_dense(diff, block)
 
     def test_doubling_rule(self):
         calls = []
@@ -533,10 +566,11 @@ class TestHelpers:
             calls.append(d)
             return 1.0 + math.exp(-d / 40.0)
 
-        res = fock.doubling_rule(obs, start=256)
+        res = fock.doubling_rule(obs)
         assert res.converged and res.dim == 1024
         assert calls == [256, 512, 1024, 2048]
-        assert not fock.doubling_rule(obs, start=256, max_dim=512).converged
+        res = fock.doubling_rule(float)  # moves by D at every doubling
+        assert not res.converged and (res.value, res.dim) == (2048.0, 2048)
 
     def test_coherent_state_outside_the_basis_raises(self):
         # e^{-|alpha|^2/2} |alpha|^n / sqrt(n!) underflows to 0 for every n < 6

@@ -298,13 +298,13 @@ class TestQ6Cycle:
 
     @pytest.mark.parametrize("multiple", [2.0, 0.5])
     def test_needs_odd_integer_multiple_of_principal(self, multiple):
-        eta_sq = multiple * model.principal_value(6)
+        eta_sq = multiple * model.resonant_values(6).principal
         st = lattice.steps(lattice.from_params(0.0, params_for_zeta(6, eta_sq, 0.18)), 3)
         with pytest.raises(model.NonresonantError):
             lattice.analytic_q6_cycle(st)
 
     def test_cycle_at_three_times_principal(self):
-        p = params_for_zeta(6, 3 * model.principal_value(6), 0.18)
+        p = params_for_zeta(6, 3 * model.resonant_values(6).principal, 0.18)
         s3 = lattice.steps(lattice.from_params(0.0, p), 3)
         stepped = lattice.steps(s3, 3)
         jumped = lattice.analytic_q6_cycle(s3)
@@ -373,7 +373,7 @@ class TestSerialization:
         ("eta_sq", float("inf"), "eta_sq"),
     ])
     def test_from_json_refuses_system(self, field, value, match):
-        p = params_for_zeta(3, model.principal_value(3), 0.18)
+        p = params_for_zeta(3, model.resonant_values(3).principal, 0.18)
         st = lattice.steps(lattice.from_params(0.2j, p), 2)
         d = json.loads(lattice.to_json(st))
         assert lattice.from_json(json.dumps(d)) == st

@@ -11,7 +11,6 @@ from kho.model import (
     classify,
     commutation_phase,
     parse_eta2,
-    principal_value,
     resonant_values,
     symmetry_generators,
     z_values,
@@ -155,7 +154,7 @@ class TestClassify:
     def test_scale_consistency(self):
         for q in (3, 4, 6):
             for w in range(1, 6):
-                rc = classify(w * principal_value(q), q)
+                rc = classify(w * resonant_values(q).principal, q)
                 assert (rc.a, rc.b) == (w, 1)
 
     def test_trivial_and_impossible(self):
@@ -169,7 +168,7 @@ class TestClassify:
         for q in (3, 4, 6):
             for b in range(1, 9):
                 a = int(rng.integers(1, 12))
-                eta_sq = (a / b) * principal_value(q)
+                eta_sq = (a / b) * resonant_values(q).principal
                 for k_scale in (1, 2):
                     k_m, k_n = b * k_scale, b * int(rng.integers(1, 4))
                     for dj in range(q):

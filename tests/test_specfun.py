@@ -44,13 +44,13 @@ def test_bessel_against_mpmath():
 
 def test_bessel_normalization_identity():
     for x in (0.3, 1.7, 6.2, 11.0):
-        t = specfun.bessel_table(x, int(x) + 40)
+        t = specfun.bessel_range(x, 0, int(x) + 40)
         assert abs(t[0] + 2.0 * np.sum(t[2::2]) - 1.0) < 1e-12
 
 
 def test_bessel_recurrence_residual():
     for x in (0.7, 2.9, 8.8):
-        t = specfun.bessel_table(x, 60)
+        t = specfun.bessel_range(x, 0, 60)
         for n in range(1, 59):
             assert abs(t[n - 1] + t[n + 1] - (2 * n / x) * t[n]) < 1e-11
 

@@ -1,0 +1,63 @@
+"""The names the benchmark's traced mode binds.
+
+perfbench/spans.py wraps kho's functions by name and reads their arguments
+and results by name.  A rename there does not fail a CLI run; it fails, or
+silently zeroes a counter, only in a traced benchmark run.  This runs each
+subcommand the benchmark replays, at a tiny size, under that tracer, and
+checks that each hook's counter fires.
+"""
+
+import sys
+from pathlib import Path
+
+from kho import cli, fock, specfun
+
+sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "perfbench"))
+import spans  # noqa: E402
+
+
+def test_traced_replay_fires_every_counter(tmp_path, capsys):
+    tracer = spans.Tracer()
+    counters = tracer.counters
+    tracer.install("tier1")
+    try:
+        # evolve(n_kicks) with the state's .dim, and write_csv(path)
+        assert cli.main(["evolve", "--dim", "64", "--kicks", "3",
+                         "--out", str(tmp_path / "evolve.csv")]) == cli.EXIT_OK
+        assert counters["fock.kicks"] == 3
+        assert counters["fock.kick_bytes_computed"] == 3 * 16 * 64 * 64
+        assert counters["output.bytes"] == (tmp_path / "evolve.csv").stat().st_size
+
+        # kicks_to_energy(dim), through cli._map_points and cli._energy_scan_point
+        cli.main(["energy-scan", "--dim", "32", "--kicks", "4", "--scan-points", "2",
+                  "--out", str(tmp_path / "scan.csv")])
+        assert counters["fock.kicks"] > 3
+
+        # SpectrumResult.n_discarded, through cli._spectrum_point
+        assert cli.main(["spectrum", "--dim", "32", "--scan-points", "2",
+                         "--out", str(tmp_path / "spectrum.csv")]) == cli.EXIT_OK
+        assert "fock.quasienergy_spectrum.n_discarded" in counters
+
+        # write_qgrid(path)
+        written = counters["output.bytes"]
+        cli.main(["qfunc", "--eta2", "pi", "--dim", "32", "--kicks", "2", "--res", "5",
+                  "--out", str(tmp_path / "q.csv")])
+        assert counters["output.bytes"] == written + (tmp_path / "q.csv").stat().st_size
+
+        # lattice.step(state)
+        assert cli.main(["verify"]) == cli.EXIT_OK
+        assert counters["lattice.step.coeffs"] > 0
+
+        # doubling_rule(observable), which only the full verify level calls
+        fock.doubling_rule(lambda dim: 1.0)
+        assert counters["fock.doubling_rule.evals"] == 2
+    finally:
+        tracer.uninstall()
+    calls = tracer.calls()
+    for name in ("cli._map_points", "cli._energy_scan_point", "cli._spectrum_point",
+                 "fock.kicks_to_energy", "fock.quasienergy_spectrum", "output.write_qgrid"):
+        assert calls[name] > 0, name
+    # the replay clears these caches and reads the Bessel table's hit counts
+    for cache in (specfun._cached_table, specfun.k_cutoff):
+        assert callable(cache.cache_clear) and cache.cache_info().currsize >= 0
+    assert fock.evolve.__name__ == "evolve" and not hasattr(fock.evolve, "__wrapped__")
