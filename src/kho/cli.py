@@ -15,7 +15,6 @@ import json
 import math
 import os
 import sys
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import replace
 
 import numpy as np
@@ -126,8 +125,9 @@ def build_parser() -> argparse.ArgumentParser:
     pq.add_argument("--alpha", type=_finite_complex, default=0j)
     pq.add_argument("--window", type=_parse_window, default=_parse_window("16"))
     pq.add_argument("--res", type=_parse_res, default=(101, 101))
-    pq.add_argument("--out", default="qfunc_out",
-                    help="output CSV (single run) or directory (default panel set)")
+    pq.add_argument("--out", default=None,
+                    help="output CSV with --eta2 (default qfunc.csv), else the directory "
+                         "of the default panel set (default qfunc_out)")
 
     ps = sub.add_parser("energy-scan", help="kicks needed to reach 50 and 200 hbar*omega vs eta^2")
     _add_system_flags(ps)
@@ -196,8 +196,12 @@ _QFUNC_PANELS = {"pi": (36, 108), "phi*pi": (36, 108)}  # eta^2 -> kick counts
 
 
 def cmd_qfunc(args) -> int:
+    if args.out is not None:
+        out = args.out
+    else:
+        out = "qfunc.csv" if args.eta2 is not None else "qfunc_out"
     if args.eta2 is not None:
-        panels = {args.eta2: [(108 if args.kicks is None else args.kicks, args.out)]}
+        panels = {args.eta2: [(108 if args.kicks is None else args.kicks, out)]}
     elif args.kicks is not None:
         raise ValueError("--kicks needs --eta2: the default panel set runs its own "
                          "kick counts, N=36 and N=108")
@@ -205,7 +209,7 @@ def cmd_qfunc(args) -> int:
         panels = {}
         for eta2, counts in _QFUNC_PANELS.items():
             name = eta2.replace("*", "")
-            panels[eta2] = [(kicks, os.path.join(args.out, f"qfunc_eta2-{name}_N{kicks}.csv"))
+            panels[eta2] = [(kicks, os.path.join(out, f"qfunc_eta2-{name}_N{kicks}.csv"))
                             for kicks in counts]
     systems = [(eta2, _system_params(args, eta2), group) for eta2, group in panels.items()]
     state = fock.coherent_state(args.alpha, args.dim)
@@ -217,7 +221,7 @@ def cmd_qfunc(args) -> int:
     # one coherent-amplitude walk for every panel
     grids = fock.q_functions([result.state for *_, result in runs], args.window, args.res)
     if args.eta2 is None:  # a run that fails before this point leaves no directory
-        os.makedirs(args.out, exist_ok=True)
+        os.makedirs(out, exist_ok=True)
     status = EXIT_OK
     for (eta2, params, kicks, path, result), grid in zip(runs, grids):
         cfg = _config_echo(args, ["q", "r", "kappa", "dim", "alpha"])
@@ -259,8 +263,11 @@ def _energy_scan_point(payload):
 
 
 def _map_points(worker, payloads, threads):
-    """worker(payload) for each payload, results in payload order."""
+    """worker(payload) for each payload, results in payload order.  The pool
+    is imported here: a serial run does not load multiprocessing."""
     if threads > 1:
+        from concurrent.futures import ProcessPoolExecutor
+
         with ProcessPoolExecutor(max_workers=threads) as ex:
             return list(ex.map(worker, payloads))
     return [worker(p) for p in payloads]

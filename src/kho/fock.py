@@ -28,7 +28,9 @@ the one place the quadrature is diagonalized.  Inside a `shared_quadratures()`
 block each (eta, D) is diagonalized once and its spectrum reused, bitwise, by
 every later operator build of the block; `verify.run` enters one around its
 checks.  Outside such a block nothing is kept between calls, so a scan holds
-no eigenvectors of points it has finished.
+no eigenvectors of points it has finished, and `kick_blocks` drops V once it
+has copied the parity rows it reads, before its GEMMs: a one-parity build
+peaks at the eigensolve's own 16 D^2 bytes.
 
 Quasienergy spectra use the structure of F = P K, with P the diagonal free
 factor and K = V diag(e^{i zeta cos x}) V^T complex symmetric (V real
@@ -191,13 +193,18 @@ def kick_blocks(params: SystemParams, dim: int, strength: int = 1,
 
     With x, V the spectrum of the quadrature, block s is
     (V[s::2] e^{i zeta strength cos x}) V[s::2]^T: one real GEMM each for its
-    real and imaginary parts, on a contiguous copy of the rows.
+    real and imaginary parts, on a contiguous copy of the rows.  The copies
+    are taken before the GEMMs and V is dropped, so outside a
+    shared_quadratures() block it is freed before the first GEMM, and each
+    copy is freed once its block is built.
     """
     x, vecs = _quadrature(params.eta, dim)
     phases = np.exp(1j * params.zeta * strength * np.cos(x))
+    parts = [np.ascontiguousarray(vecs[s::2]) for s in parities]
+    del vecs
     blocks = []
-    for s in parities:
-        rows = np.ascontiguousarray(vecs[s::2])
+    while parts:
+        rows = parts.pop(0)
         block = np.empty((rows.shape[0], rows.shape[0]), dtype=complex)
         block.real = (rows * phases.real) @ rows.T
         block.imag = (rows * phases.imag) @ rows.T
@@ -331,6 +338,8 @@ def symmetry_commutator_norm(params: SystemParams, dim: int, *gens: complex) -> 
     of parity s of F^q D come from block s and the rows of parity s of D, and
     the columns of parity s of D F^q from the columns of parity s of D and
     block s: half the products of the dense F^q, which is never assembled.
+    A generator that conjugates the one before it reuses its D in place, as
+    D(conj g) = conj D(g) in the real Fock matrices of a and a^dag.
     """
     gens = [g for g in gens if g != 0]
     if not gens:
@@ -338,15 +347,20 @@ def symmetry_commutator_norm(params: SystemParams, dim: int, *gens: complex) -> 
     b = interior_block(dim)
     fq = floquet_power(params, dim, params.q)
     worst = 0.0
+    dg = prev = None
     for gen in gens:
-        dg = specfun.displacement_matrix(gen, dim, block=b)  # rows and columns < b only
+        if prev is not None and gen == prev.conjugate():
+            np.conjugate(dg, out=dg)
+        else:
+            dg = None  # else it stays alive while this generator's is built
+            dg = specfun.displacement_matrix(gen, dim, block=b)  # rows and columns < b only
+        prev = gen
         comm = np.empty((b, b), dtype=complex)
         for s, block in enumerate(fq):
             comm[s::2] = block[:_interior(s, b)] @ dg[s::2, :b]
         for s, block in enumerate(fq):
             comm[:, s::2] -= dg[:b, s::2] @ block[:, :_interior(s, b)]
         worst = max(worst, float(np.abs(comm).max()))
-        del dg  # else it stays alive while the next generator's is built
     return worst
 
 

@@ -3,6 +3,8 @@ the BLAS thread setting of the CLI (one OpenBLAS thread unless
 OPENBLAS_NUM_THREADS is set; see kho/__init__.py), and holds the shared
 fixtures."""
 
+import tracemalloc
+
 import kho  # noqa: F401
 import pytest
 
@@ -16,3 +18,16 @@ def eigh_calls(monkeypatch):
     eigh = fock.eigh_tridiagonal
     monkeypatch.setattr(fock, "eigh_tridiagonal", lambda *a: calls.append(a) or eigh(*a))
     return calls
+
+
+@pytest.fixture
+def traced_peak():
+    """peak(fn): the most bytes tracemalloc saw allocated while fn() ran."""
+    def peak(fn):
+        tracemalloc.start()
+        try:
+            fn()
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+    return peak

@@ -166,6 +166,15 @@ class TestQfunc:
             assert warnings == ([] if kick is None else
                                 [f"# warning: truncation-unsafe from kick {kick}"])
 
+    def test_default_outputs_of_panels_and_single_run_coexist(self, tmp_path, monkeypatch):
+        # the single run's default CSV is not the panel set's directory
+        monkeypatch.chdir(tmp_path)
+        grid = ["--dim", "32", "--window", "10", "--res", "5"]
+        assert main(["qfunc", *grid]) in (cli.EXIT_OK, cli.EXIT_TRUNCATION)
+        assert main(["qfunc", *grid, "--eta2", "pi", "--kicks", "2"]) == cli.EXIT_OK
+        assert len(list((tmp_path / "qfunc_out").iterdir())) == 4
+        assert (tmp_path / "qfunc.csv").is_file()
+
     def test_default_panels_match_single_runs(self, tmp_path):
         # the panels of one eta^2 share one propagation and all four share one
         # Husimi walk; each file is byte-identical to its own single run,
@@ -265,8 +274,9 @@ class TestBlasThreads:
 
 class TestColdStart:
     def test_light_commands_import_no_scipy_special_or_constants(self, tmp_path):
-        """resonances and a spectrum use neither Bessel functions nor SI
-        constants, so neither module loads: it would add to every cold start."""
+        """resonances and a serial spectrum use neither Bessel functions, SI
+        constants nor a process pool, so none of those modules loads: each
+        would add to every cold start."""
         src = os.path.dirname(os.path.dirname(kho.__file__))
         env = dict(os.environ)
         env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
@@ -276,7 +286,8 @@ class TestColdStart:
             f"assert main(['resonances', '--out', {str(tmp_path / 'r.json')!r}]) == 0\n"
             "assert main(['spectrum', '--dim', '8', '--scan-points', '2', "
             f"'--out', {str(tmp_path / 's.csv')!r}]) == 0\n"
-            "print(sorted(m for m in ('scipy.special', 'scipy.constants') if m in sys.modules))\n")
+            "print(sorted(m for m in ('scipy.special', 'scipy.constants', 'multiprocessing', "
+            "'concurrent.futures.process', 'queue') if m in sys.modules))\n")
         done = subprocess.run([sys.executable, "-c", script], env=env, check=True,
                               capture_output=True, text=True)
         assert done.stdout.strip() == "[]"

@@ -477,6 +477,33 @@ class TestSymmetryCommutator:
         c_Gamma = fock.symmetry_commutator_norm(p, 256, Gamma)
         assert c_Gamma > 1e4 * c_gamma
 
+    @pytest.mark.parametrize("dim", [256, 512])
+    def test_conjugate_generator_gives_conjugate_displacement(self, dim):
+        # bitwise but for the sign of zero (x + 0.0 clears it), the NaN block
+        # past the interior included; |comm| does not see the sign of zero
+        b = fock.interior_block(dim)
+        pairs = [model.symmetry_generators(p.q, p.eta, "gamma")
+                 for _, p in verify.CRYSTAL_CASES if p.q != 4]
+        assert len(pairs) == 4
+        for g, g_bar in pairs:
+            assert g_bar == g.conjugate()
+            got = specfun.displacement_matrix(g, dim, block=b).conj() + 0.0
+            want = specfun.displacement_matrix(g_bar, dim, block=b) + 0.0
+            assert np.array_equal(got.view(np.int64), want.view(np.int64))
+
+    @pytest.mark.parametrize("case", [c for c in verify.CRYSTAL_CASES if c[1].q != 4],
+                             ids=lambda c: f"q{c[1].q}-{c[0]}")
+    def test_conjugate_pair_builds_one_displacement(self, monkeypatch, case):
+        p = case[1]
+        gens = model.symmetry_generators(p.q, p.eta, "gamma")
+        each = max(fock.symmetry_commutator_norm(p, 256, g) for g in gens)
+        calls = []
+        build = specfun.displacement_matrix
+        monkeypatch.setattr(specfun, "displacement_matrix",
+                            lambda *a, **kw: calls.append(a) or build(*a, **kw))
+        assert fock.symmetry_commutator_norm(p, 256, *gens) == each
+        assert len(calls) == 1
+
     @pytest.mark.parametrize("which", ["gamma", "Gamma"])
     @pytest.mark.parametrize("q", [3, 4, 6])
     @pytest.mark.parametrize("tag", ["principal", "phi*pi"])
@@ -488,6 +515,20 @@ class TestSymmetryCommutator:
         gens = model.symmetry_generators(q, p.eta, which)
         got = fock.symmetry_commutator_norm(p, 128, *gens)
         assert abs(got - commutator_norm_dense(p, 128, *gens)) < 1e-13
+
+
+class TestKickBuildMemory:
+    """Outside a shared_quadratures() block kick_blocks drops the D x D
+    quadrature eigenvectors V (8 D^2 bytes) before its GEMMs, so a
+    one-parity build peaks at the eigensolve's own 16 D^2 bytes and a
+    two-parity build at 18 D^2; with V kept they peak at 22 and 26 D^2."""
+
+    @pytest.mark.parametrize("dim", [400, 401])
+    @pytest.mark.parametrize("parities, bound", [((0,), 17), ((0, 1), 19)], ids=["even", "both"])
+    def test_peak_bytes(self, traced_peak, dim, parities, bound):
+        p = params_q4()
+        fock.kick_blocks(p, dim, parities=parities)  # first-call set-up is not the build's
+        assert traced_peak(lambda: fock.kick_blocks(p, dim, parities=parities)) <= bound * dim ** 2
 
 
 class TestSharedQuadratures:

@@ -61,3 +61,21 @@ def test_traced_replay_fires_every_counter(tmp_path, capsys):
     for cache in (specfun._cached_table, specfun.k_cutoff):
         assert callable(cache.cache_clear) and cache.cache_info().currsize >= 0
     assert fock.evolve.__name__ == "evolve" and not hasattr(fock.evolve, "__wrapped__")
+
+
+def test_traced_pool_replay_times_map_points(tmp_path):
+    # the benchmark's pool efficiency divides the serial workers' time by the
+    # traced time of cli._map_points around a two-worker pool
+    tracer = spans.Tracer()
+    tracer.install("tier1-pool")
+    try:
+        outputs = []
+        for threads in (1, 2):
+            out = tmp_path / f"scan{threads}.csv"
+            cli.main(["energy-scan", "--dim", "32", "--kicks", "4", "--scan-points", "2",
+                      "--threads", str(threads), "--out", str(out)])
+            outputs.append(out.read_bytes())
+    finally:
+        tracer.uninstall()
+    assert len(tracer.durations("cli._map_points")) == 2
+    assert outputs[0] == outputs[1]
