@@ -6,8 +6,10 @@ Importing kho pins OpenBLAS to one thread unless OPENBLAS_NUM_THREADS is
 already set.  The kernels are D/2 x D/2 parity blocks, too small to gain from
 a second BLAS thread, and `--threads` pool workers fork from a process with
 the same setting, so output bytes do not depend on the core count.  The
-first submodule import below is also numpy's first import on the CLI path;
-a program that imports numpy before kho keeps numpy's thread setting.
+first submodule import below is also numpy's first import on the CLI path,
+and `fock` then loads scipy's LAPACK extension, with its own OpenBLAS,
+through `_lapack`: both libraries start under the setting.  A program that
+imports numpy or scipy.linalg before kho keeps their thread setting.
 """
 
 import os

@@ -60,9 +60,8 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import cho_factor, cho_solve, eigh, eigh_tridiagonal
 
-from . import specfun
+from . import _lapack, specfun
 from .model import NonresonantError, ResonanceKind, SystemParams, classify
 
 DEFAULT_LEAK_TOL = 1e-8
@@ -180,7 +179,7 @@ def _quadrature(eta: float, dim: int) -> tuple[np.ndarray, np.ndarray]:
     shared = _SHARED_QUADRATURES.get()
     if shared is not None and (eta, dim) in shared:
         return shared[eta, dim]
-    spectrum = eigh_tridiagonal(np.zeros(dim), eta * np.sqrt(np.arange(1, dim)))
+    spectrum = _lapack.eigh_tridiagonal(np.zeros(dim), eta * np.sqrt(np.arange(1, dim)))
     if shared is not None:
         shared[eta, dim] = spectrum
     return spectrum
@@ -500,14 +499,13 @@ def quasienergy_spectrum(params: SystemParams, dim: int) -> SpectrumResult:
         shift = first_shift
         for _ in range(_CAYLEY_SHIFTS):
             try:
-                ipc = cho_factor(np.eye(len(gmat)) + gmat.real, overwrite_a=True,
-                                 check_finite=False)
-                h = cho_solve(ipc, gmat.imag, check_finite=False)
+                ipc = _lapack.cho_factor(np.eye(len(gmat)) + gmat.real)
+                h = _lapack.cho_solve(ipc, gmat.imag)
             except np.linalg.LinAlgError:  # an eigenvalue of G on -1: the gap rule turns G to -G
                 mu, residual = np.array([-1.0 + 0j]), math.inf
             else:
                 h += h.T  # 2H, exactly symmetric, same eigenvectors
-                vecs = eigh(h, overwrite_a=True, check_finite=False)[1]
+                vecs = _lapack.eigh(h)[1]
                 del ipc, h  # frees two buffers before the Rayleigh step's peak
                 # row k is (G o_k)^T as G is symmetric; one real GEMM on (Re, Im) columns
                 g_vecs = (vecs.T @ gmat.view(np.float64)).view(complex)
@@ -533,21 +531,6 @@ def quasienergy_spectrum(params: SystemParams, dim: int) -> SpectrumResult:
     order = np.argsort(phis, kind="stable")
     return SpectrumResult(phis[order], overlaps[order], params=params,
                           max_unit_defect=max_defect, max_residual=max_residual)
-
-
-def band_max_gap(result: SpectrumResult) -> float:
-    """Largest eigenphase gap inside the uppermost free-evolution band.
-
-    Bands sit near the kappa = 0 phases -(n+1/2)*tau mod 2pi; states are
-    assigned to the nearest band center within a quarter band spacing.
-    """
-    params = result.params
-    center = np.angle(np.exp(-1j * (np.arange(params.q) + 0.5) * params.tau)).max()
-    dist = np.abs(np.angle(np.exp(1j * (result.phi - center))))
-    sel = result.phi[dist < params.tau / 4.0]
-    if sel.size < 2:
-        raise ValueError("fewer than two eigenphases in the uppermost band")
-    return float(np.max(np.diff(sel)))
 
 
 @dataclass

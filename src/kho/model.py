@@ -187,15 +187,6 @@ def resonant_values(q: int) -> ResonanceClass:
     return ResonanceClass(kind=ResonanceKind.RESONANT, principal=principal)
 
 
-def commutation_phase(eta_sq: float, q: int, r: int, k_m: int, k_n: int, dj: int) -> complex:
-    """Phase e^{alpha beta* - alpha* beta} between two kick displacements
-    separated by dj axes; equals 1 exactly when they commute."""
-    if not 0 <= dj <= q - 1:
-        raise ValueError("dj must lie in 0..q-1")
-    arg = 2.0 * eta_sq * k_m * k_n * math.sin(2.0 * math.pi * r * dj / q)
-    return complex(math.cos(arg), -math.sin(arg))
-
-
 def classify(eta_sq: float, q: int) -> ResonanceClass:
     """Classify eta^2 as a rational multiple a/b of the principal resonance
     value, b <= B_MAX_RESONANCE within DEFAULT_RATIONAL_TOL (continued-fraction

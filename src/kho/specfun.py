@@ -6,7 +6,8 @@ from scipy.special.jv, tabulated over orders 0..n per argument and cached,
 and are read through bessel_range, which takes negative orders from
 J_{-n}(x) = (-1)^n J_n(x); bessel_j is its one-order case.  scipy.special
 is imported at the first Bessel table or displacement matrix, so the paths
-that need neither (qfunc, spectrum, resonances) never load it.
+that need neither (evolve, qfunc, spectrum, energy-scan, resonances) never
+load it: only verify does.
 Displacement matrix elements use the associated-Laguerre closed form with
 factorial ratios carried in log space, so they remain finite at orders of a
 few thousand.  Coherent amplitudes c_n(alpha) come from one recurrence over

@@ -4,8 +4,8 @@ displacement expansion of the kick, amplified-kick equivalence, the lattice
 mapping against its closed forms, cross-representation fidelity, and the
 phase-space symmetry commutators.
 
-`run(level)` executes the quick suite (about 0.16 s on a 2-core Xeon host) or
-the full suite (about 0.6 s) and returns per-check results with measured values.
+`run(level)` executes the quick suite (about 0.1 s on a 2-core Xeon host) or
+the full suite (about 0.45 s) and returns per-check results with measured values.
 """
 
 from __future__ import annotations

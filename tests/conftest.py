@@ -8,15 +8,15 @@ import tracemalloc
 import kho  # noqa: F401
 import pytest
 
-from kho import fock
+from kho import _lapack
 
 
 @pytest.fixture
 def eigh_calls(monkeypatch):
     """The arguments of each diagonalization of a quadrature from here on."""
     calls = []
-    eigh = fock.eigh_tridiagonal
-    monkeypatch.setattr(fock, "eigh_tridiagonal", lambda *a: calls.append(a) or eigh(*a))
+    eigh = _lapack.eigh_tridiagonal
+    monkeypatch.setattr(_lapack, "eigh_tridiagonal", lambda *a: calls.append(a) or eigh(*a))
     return calls
 
 

@@ -17,7 +17,9 @@ implementation runs a rescaled recurrence in double precision), the
 symmetry commutators multiply the dense F^q, zeros across parity included
 (the implementation multiplies each parity block by its rows or columns of
 the displacement), and interior comparisons slice the dense matrices
-assembled from parity blocks (the implementation slices each block).
+assembled from parity blocks (the implementation slices each block).  The
+band-gap statistic of acceptance criterion 9 and the commutation phase of
+two kick displacements live here too, as only tests use them.
 """
 
 import math
@@ -215,3 +217,28 @@ def commutator_norm_dense(params, dim: int, *gens: complex) -> float:
         dg = specfun.displacement_matrix(gen, dim, block=b)
         worst = max(worst, float(np.abs(fq[:b] @ dg[:, :b] - dg[:b] @ fq[:, :b]).max()))
     return worst
+
+
+def band_max_gap(result) -> float:
+    """Largest eigenphase gap inside the uppermost free-evolution band of a
+    fock.SpectrumResult.
+
+    Bands sit near the kappa = 0 phases -(n+1/2)*tau mod 2pi; states are
+    assigned to the nearest band center within a quarter band spacing.
+    """
+    params = result.params
+    center = np.angle(np.exp(-1j * (np.arange(params.q) + 0.5) * params.tau)).max()
+    dist = np.abs(np.angle(np.exp(1j * (result.phi - center))))
+    sel = result.phi[dist < params.tau / 4.0]
+    if sel.size < 2:
+        raise ValueError("fewer than two eigenphases in the uppermost band")
+    return float(np.max(np.diff(sel)))
+
+
+def commutation_phase(eta_sq: float, q: int, r: int, k_m: int, k_n: int, dj: int) -> complex:
+    """Phase e^{alpha beta* - alpha* beta} between two kick displacements
+    separated by dj axes; equals 1 exactly when they commute."""
+    if not 0 <= dj <= q - 1:
+        raise ValueError("dj must lie in 0..q-1")
+    arg = 2.0 * eta_sq * k_m * k_n * math.sin(2.0 * math.pi * r * dj / q)
+    return complex(math.cos(arg), -math.sin(arg))

@@ -273,21 +273,27 @@ class TestBlasThreads:
 
 
 class TestColdStart:
-    def test_light_commands_import_no_scipy_special_or_constants(self, tmp_path):
-        """resonances and a serial spectrum use neither Bessel functions, SI
-        constants nor a process pool, so none of those modules loads: each
-        would add to every cold start."""
+    def test_light_commands_import_no_scipy_linalg_special_or_constants(self, tmp_path):
+        """resonances and serial spectrum, energy-scan, evolve and qfunc runs
+        use neither Bessel functions, SI constants, a process pool nor the
+        scipy.linalg package (kho loads its LAPACK extension alone), so none
+        of those modules loads, nor scipy's array-API layer: each would add
+        to every cold start."""
         src = os.path.dirname(os.path.dirname(kho.__file__))
         env = dict(os.environ)
         env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+        runs = [["resonances"], ["spectrum", "--dim", "8", "--scan-points", "2"],
+                ["energy-scan", "--dim", "16", "--scan-points", "2", "--kicks", "3"],
+                ["evolve", "--dim", "16", "--kicks", "2"],
+                ["qfunc", "--eta2", "pi", "--dim", "16", "--kicks", "2", "--res", "5"]]
+        argvs = [argv + ["--out", str(tmp_path / str(i))] for i, argv in enumerate(runs)]
         script = (
             "import sys\n"
             "from kho.cli import main\n"
-            f"assert main(['resonances', '--out', {str(tmp_path / 'r.json')!r}]) == 0\n"
-            "assert main(['spectrum', '--dim', '8', '--scan-points', '2', "
-            f"'--out', {str(tmp_path / 's.csv')!r}]) == 0\n"
-            "print(sorted(m for m in ('scipy.special', 'scipy.constants', 'multiprocessing', "
-            "'concurrent.futures.process', 'queue') if m in sys.modules))\n")
+            f"assert all(main(argv) in (0, 2) for argv in {argvs!r})\n"
+            "print(sorted(m for m in ('scipy.linalg', 'scipy._lib._array_api', 'scipy.special', "
+            "'scipy.constants', 'multiprocessing', 'concurrent.futures.process', 'queue') "
+            "if m in sys.modules))\n")
         done = subprocess.run([sys.executable, "-c", script], env=env, check=True,
                               capture_output=True, text=True)
         assert done.stdout.strip() == "[]"

@@ -9,12 +9,13 @@ from kho.model import (
     ResonanceKind,
     SystemParams,
     classify,
-    commutation_phase,
     parse_eta2,
     resonant_values,
     symmetry_generators,
     z_values,
 )
+
+from oracles import commutation_phase
 
 PHI = model.GOLDEN_RATIO
 
