@@ -2,12 +2,23 @@
 helpers, displacement-operator matrix elements and coherent-state amplitudes.
 
 Everything here is a pure function of its arguments.  Bessel values come
-from scipy.special.jv, tabulated over orders 0..n per argument and cached,
+from scipy.special's jv, tabulated over orders 0..n per argument and cached,
 and are read through bessel_range, which takes negative orders from
-J_{-n}(x) = (-1)^n J_n(x); bessel_j is its one-order case.  scipy.special
-is imported at the first Bessel table or displacement matrix, so the paths
-that need neither (evolve, qfunc, spectrum, energy-scan, resonances) never
-load it: only verify does.
+J_{-n}(x) = (-1)^n J_n(x); bessel_j is its one-order case.
+jv and gammaln are the ufuncs of scipy's compiled extension
+scipy.special._ufuncs, which `ufuncs()` loads at its first call (the first
+Bessel table or displacement matrix), so the paths that need neither
+(evolve, qfunc, spectrum, energy-scan, resonances) never load it: only
+verify does.  It loads the extension without the scipy.special package,
+whose import also pulls in scipy's array-API layer and with it numpy.f2py,
+numpy.testing and numpy.ma, about 0.2 s and 14 MiB of a cold verify: the
+extension's init imports its sibling extensions through the package, so a
+bare stand-in module with the package's __path__ takes the package's place
+in sys.modules for that one import.  A later `import scipy.special` runs
+the real package, which reuses the loaded extension and so hands out the
+very ufuncs kho calls.  If scipy.special is already imported, its
+extension is used; if the extension cannot be loaded or lacks jv or
+gammaln, the functions come from the scipy.special package.
 Displacement matrix elements use the associated-Laguerre closed form with
 factorial ratios carried in log space, so they remain finite at orders of a
 few thousand.  Coherent amplitudes c_n(alpha) come from one recurrence over
@@ -18,13 +29,20 @@ basis still holds the state.
 
 from __future__ import annotations
 
+import importlib
+import importlib.util
 import math
+import sys
+import types
 from collections.abc import Iterator
 from dataclasses import dataclass
 from functools import lru_cache
+from pathlib import Path
 
 import numpy as np
 
+_SPECIAL = "scipy.special"
+_UFUNCS = ("jv", "gammaln")
 _RESCALE = 1e250
 _ALPHA_MAX = np.finfo(float).max / _RESCALE  # |power * alpha| stays finite below it
 
@@ -40,11 +58,40 @@ class GrafGeometry:
     chi: float
 
 
+def _load_ufuncs(special_dir: Path) -> types.ModuleType:
+    """scipy.special's _ufuncs extension: the loaded package's, else the
+    one in special_dir, imported under a stand-in for the package; the
+    scipy.special package itself if neither holds every name in _UFUNCS."""
+    package = sys.modules.get(_SPECIAL)
+    if package is not None:
+        module = getattr(package, "_ufuncs", None)
+    else:
+        stand_in = types.ModuleType(_SPECIAL)
+        stand_in.__path__ = [str(special_dir)]
+        sys.modules[_SPECIAL] = stand_in
+        try:
+            module = importlib.import_module(f"{_SPECIAL}._ufuncs")
+        except ImportError:
+            module = None
+        finally:
+            if sys.modules.get(_SPECIAL) is stand_in:
+                del sys.modules[_SPECIAL]
+    if module is None or not all(hasattr(module, name) for name in _UFUNCS):
+        module = importlib.import_module(_SPECIAL)
+    return module
+
+
+@lru_cache(maxsize=None)
+def ufuncs() -> types.ModuleType:
+    """The module whose jv and gammaln kho calls, loaded at the first call:
+    scipy.special's compiled _ufuncs extension, without the package where
+    it can be (see the module docstring)."""
+    return _load_ufuncs(Path(importlib.util.find_spec("scipy").origin).parent / "special")
+
+
 @lru_cache(maxsize=512)
 def _cached_table(x: float, order_max: int) -> np.ndarray:
-    from scipy.special import jv
-
-    out = jv(np.arange(order_max + 1), x)
+    out = ufuncs().jv(np.arange(order_max + 1), x)
     out.flags.writeable = False
     return out
 
@@ -123,8 +170,6 @@ def displacement_matrix(alpha: complex, dim: int, block: int | None = None) -> n
     bitwise as in the full matrix, and the rest, out[block:, block:], is left
     NaN (for alpha != 0).
     """
-    from scipy.special import gammaln
-
     alpha = complex(alpha)
     if alpha == 0:
         return np.eye(dim, dtype=complex)
@@ -133,7 +178,7 @@ def displacement_matrix(alpha: complex, dim: int, block: int | None = None) -> n
     out = np.empty((dim, dim), dtype=complex)
     out[block:, block:] = np.nan
     offs = np.arange(dim)
-    lg = gammaln(np.arange(dim) + 1.0)
+    lg = ufuncs().gammaln(np.arange(dim) + 1.0)
     unit = alpha / abs(alpha)
     phase_up = unit ** offs
     phase_dn = (-np.conj(unit)) ** offs

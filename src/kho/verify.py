@@ -4,8 +4,9 @@ displacement expansion of the kick, amplified-kick equivalence, the lattice
 mapping against its closed forms, cross-representation fidelity, and the
 phase-space symmetry commutators.
 
-`run(level)` executes the quick suite (about 0.1 s on a 2-core Xeon host) or
-the full suite (about 0.45 s) and returns per-check results with measured values.
+`run(level)` executes the quick suite (about 0.13 s on a 2-core Xeon host,
+the first run in a process that has imported kho) or the full suite (about
+0.6 s) and returns per-check results with measured values.
 """
 
 from __future__ import annotations
@@ -234,6 +235,7 @@ def run(level: str = "quick") -> list[CheckResult]:
     what it measures when run alone."""
     if level not in ("quick", "full"):
         raise ValueError("level must be 'quick' or 'full'")
+    specfun.ufuncs()  # loaded before the first timer starts, so no check's time holds it
     checks = [
         check_resonant_table(),
         check_graf_closure(),
