@@ -354,8 +354,10 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return _HANDLERS[args.command](args)
-    except (ValueError, OSError) as exc:  # bad input, or an output path that cannot be written
-        print(f"kho: error: {exc}", file=sys.stderr)
+    # bad input, an output path that cannot be written, or a basis or grid
+    # too big for memory (numpy's MemoryError names the allocation it failed)
+    except (ValueError, OSError, MemoryError) as exc:
+        print(f"kho: error: {str(exc) or type(exc).__name__}", file=sys.stderr)
         return EXIT_USAGE
 
 

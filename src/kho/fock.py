@@ -26,9 +26,10 @@ K(theta)[m, n] = e^{i theta (m - n)} K(0)[m, n], so `kick_axis_product` builds
 its kick blocks once and turns them to each of its q axes.  `_quadrature` is
 the one place the quadrature is diagonalized.  Inside a `shared_quadratures()`
 block each (eta, D) is diagonalized once and its spectrum reused, bitwise, by
-every later operator build of the block; `verify.run` enters one around its
-checks.  Outside such a block nothing is kept between calls, so a scan holds
-no eigenvectors of points it has finished, and `kick_blocks` drops V once it
+every later operator build of the block; `verify.run` enters one for each
+eta^2 of its checks, so it holds one eta^2's spectra at a time.  Outside
+such a block nothing is kept between calls, so a scan holds no
+eigenvectors of points it has finished, and `kick_blocks` drops V once it
 has copied the parity rows it reads, before its GEMMs: a one-parity build
 peaks at the eigensolve's own 16 D^2 bytes.
 
@@ -164,7 +165,9 @@ _SHARED_QUADRATURES: contextvars.ContextVar[dict | None] = contextvars.ContextVa
 def shared_quadratures():
     """Within the block, diagonalize each (eta, D) quadrature once: later
     operator builds reuse its spectrum, bitwise, and the block's end drops
-    it.  A block opened inside another starts afresh."""
+    it.  A block opened inside another starts afresh.  Every spectrum met
+    in a block stays alive until its end, so a caller that meets several
+    eta opens one block per eta, as `verify.run` does."""
     token = _SHARED_QUADRATURES.set({})
     try:
         yield

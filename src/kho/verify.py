@@ -6,14 +6,19 @@ phase-space symmetry commutators.
 
 `run(level)` executes the quick suite (about 0.13 s on a 2-core Xeon host,
 the first run in a process that has imported kho) or the full suite (about
-0.6 s) and returns per-check results with measured values.
+0.6 s) and returns per-check results with measured values.  It runs the
+checks one eta^2 at a time, in one `fock.shared_quadratures()` block per
+eta^2: each quadrature is diagonalized once, and the spectra of an eta^2
+are dropped before the checks of the next one start.
 """
 
 from __future__ import annotations
 
 import math
 import time
+from collections.abc import Callable
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 
@@ -30,6 +35,8 @@ CRYSTAL_CASES = tuple(
     for q in model.CRYSTAL_Q
     for tag, eta_sq in (("principal", model.resonant_values(q).principal),
                         ("phi*pi", GOLDEN * math.pi)))
+#: (q, v) of the full suite's amplified-kick checks, each q at its principal resonance
+AMPLIFIED = ((4, 2), (4, 3), (3, 2))
 
 
 @dataclass
@@ -77,13 +84,17 @@ def check_resonant_table() -> CheckResult:
 
 
 def check_graf_closure() -> CheckResult:
+    # the standard library's generator: numpy.random would load secrets and,
+    # through it, hashlib and libcrypto, for 100 draws
+    import random
+
     t0 = time.perf_counter()
-    rng = np.random.default_rng(424242)
+    rng = random.Random(424242)
     worst = 0.0
     for _ in range(100):
-        n = int(rng.integers(-10, 11))
-        zeta = float(rng.uniform(0.0, 5.0))
-        alpha = float(rng.uniform(0.0, math.pi))
+        n = rng.randint(-10, 10)
+        zeta = rng.uniform(0.0, 5.0)
+        alpha = rng.uniform(0.0, math.pi)
         geo = specfun.graf_geometry(zeta, alpha)
         lhs = specfun.graf_sum(n, zeta, alpha)
         rhs = specfun.bessel_j(n, geo.zeta_prime) * np.exp(1j * n * geo.chi)
@@ -175,44 +186,57 @@ def cross_representation_fidelity(params: model.SystemParams,
     return fock.fidelity(ev.state, lattice.to_fock(state, dim).state)
 
 
+def check_q4_fidelity(dim: int = 512) -> CheckResult:
+    """The quick suite's one cross-representation case: Q4 at a fixed D."""
+    t0 = time.perf_counter()
+    fid = cross_representation_fidelity(Q4, _q4_lattice(12), dim)
+    return _check(f"fock/lattice fidelity q=4 N=12 (D={dim})", fid, 0.999,
+                  t0, larger_is_better=True)
+
+
+def _cross_representation_case(tag: str, params: model.SystemParams) -> CheckResult:
+    t0 = time.perf_counter()
+    # the lattice state does not depend on D: one evolution per case
+    state = lattice.steps(lattice.from_params(0.0, params), 12)
+    res = fock.doubling_rule(lambda d: cross_representation_fidelity(params, state, d))
+    return _check(
+        f"fock/lattice fidelity q={params.q} eta2={tag} N=12 (D={res.dim})",
+        res.value, 0.999, t0, larger_is_better=True,
+        note="" if res.converged else "doubling rule not converged")
+
+
 def check_cross_representation() -> list[CheckResult]:
-    out = []
-    for tag, params in CRYSTAL_CASES:
-        t0 = time.perf_counter()
-        # the lattice state does not depend on D: one evolution per case
-        state = lattice.steps(lattice.from_params(0.0, params), 12)
-        res = fock.doubling_rule(lambda d: cross_representation_fidelity(params, state, d))
-        out.append(_check(
-            f"fock/lattice fidelity q={params.q} eta2={tag} N=12 (D={res.dim})",
-            res.value, 0.999, t0, larger_is_better=True,
-            note="" if res.converged else "doubling rule not converged"))
-    return out
+    return [_cross_representation_case(tag, params) for tag, params in CRYSTAL_CASES]
 
 
-def check_amplified(cases=((4, 2), (4, 3), (3, 2)), dim: int = 256) -> list[CheckResult]:
-    out = []
-    for q, v in cases:
-        t0 = time.perf_counter()
-        params = model.SystemParams(r=1, q=q, kappa=-0.8,
-                                    eta_sq=model.resonant_values(q).principal)
-        fqv = fock.floquet_power(params, dim, q * v)
-        amp = fock.amplified_kick_operator(params, dim, v)
-        block = fock.interior_block(dim)
-        out.append(_check(
-            f"amplified kick q={q} v={v} vs F^(qv) (D={dim}, block={block})",
-            fock.mismatch_up_to_phase(amp, fqv, block), 1e-7, t0))
-    return out
+def _principal(q: int) -> model.SystemParams:
+    """The system of the amplified-kick checks: q at its principal resonance."""
+    return model.SystemParams(r=1, q=q, kappa=-0.8, eta_sq=model.resonant_values(q).principal)
+
+
+def _amplified_case(params: model.SystemParams, v: int, dim: int) -> CheckResult:
+    t0 = time.perf_counter()
+    fqv = fock.floquet_power(params, dim, params.q * v)
+    amp = fock.amplified_kick_operator(params, dim, v)
+    block = fock.interior_block(dim)
+    return _check(
+        f"amplified kick q={params.q} v={v} vs F^(qv) (D={dim}, block={block})",
+        fock.mismatch_up_to_phase(amp, fqv, block), 1e-7, t0)
+
+
+def check_amplified(cases=AMPLIFIED, dim: int = 256) -> list[CheckResult]:
+    return [_amplified_case(_principal(q), v, dim) for q, v in cases]
+
+
+def _commutator_case(tag: str, params: model.SystemParams, dim: int) -> CheckResult:
+    t0 = time.perf_counter()
+    gens = model.symmetry_generators(params.q, params.eta, "gamma")
+    worst = fock.symmetry_commutator_norm(params, dim, *gens)
+    return _check(f"[F^q, D(gamma)] q={params.q} eta2={tag} (D={dim})", worst, 1e-6, t0)
 
 
 def check_commutators(dim: int = 512) -> list[CheckResult]:
-    out = []
-    for tag, params in CRYSTAL_CASES:
-        t0 = time.perf_counter()
-        gens = model.symmetry_generators(params.q, params.eta, "gamma")
-        worst = fock.symmetry_commutator_norm(params, dim, *gens)
-        out.append(_check(
-            f"[F^q, D(gamma)] q={params.q} eta2={tag} (D={dim})", worst, 1e-6, t0))
-    return out
+    return [_commutator_case(tag, params, dim) for tag, params in CRYSTAL_CASES]
 
 
 def check_state_roundtrip() -> CheckResult:
@@ -228,32 +252,48 @@ def check_state_roundtrip() -> CheckResult:
     return _check("lattice state JSON roundtrip", worst, 0.0, t0)
 
 
-@fock.shared_quadratures()
+def _schedule(level: str) -> list[tuple[float | None, Callable]]:
+    """(eta^2, check) for each check of the level, in the order run()
+    reports them: eta^2 is that of every quadrature the check diagonalizes,
+    None for a check that diagonalizes none.  A check returns one result,
+    or a tuple of them."""
+    quick = level == "quick"
+    amp_cases, amp_dim, comm_dim = (((4, 2),), 128, 256) if quick else (AMPLIFIED, 256, 512)
+    schedule = [(None, check_resonant_table), (None, check_graf_closure),
+                (Q4.eta_sq, check_axis_product), (Q4.eta_sq, check_kick_expansion),
+                (None, check_q4_closed_form), (None, check_state_roundtrip),
+                (None, check_q6_cycle)]
+    if quick:
+        schedule.append((Q4.eta_sq, check_q4_fidelity))
+    else:
+        schedule += [(params.eta_sq, partial(_cross_representation_case, tag, params))
+                     for tag, params in CRYSTAL_CASES]
+    schedule += [(_principal(q).eta_sq, partial(_amplified_case, _principal(q), v, amp_dim))
+                 for q, v in amp_cases]
+    schedule += [(params.eta_sq, partial(_commutator_case, tag, params, comm_dim))
+                 for tag, params in CRYSTAL_CASES]
+    return schedule
+
+
 def run(level: str = "quick") -> list[CheckResult]:
-    """Run the verification suite; `level` is 'quick' or 'full'.  The checks
-    share one diagonalization of each quadrature, so each measures bitwise
-    what it measures when run alone."""
+    """Run the verification suite; `level` is 'quick' or 'full'.
+
+    The checks run one eta^2 at a time, each eta^2 in its own
+    shared_quadratures() block: the checks that diagonalize no quadrature
+    first, then those of each eta^2 in the order it first appears (pi,
+    2pi/sqrt3, phi*pi).  Within a block each quadrature is diagonalized
+    once, and its spectrum is dropped when the block ends, so the suite
+    holds the spectra of one eta^2 at a time.  Each check measures bitwise
+    what it measures when run alone, and the results come back in the
+    schedule's order, each timed on its own."""
     if level not in ("quick", "full"):
         raise ValueError("level must be 'quick' or 'full'")
     specfun.ufuncs()  # loaded before the first timer starts, so no check's time holds it
-    checks = [
-        check_resonant_table(),
-        check_graf_closure(),
-        check_axis_product(),
-        check_kick_expansion(),
-        *check_q4_closed_form(),
-        check_state_roundtrip(),
-        check_q6_cycle(),
-    ]
-    if level == "quick":
-        t0 = time.perf_counter()
-        fid = cross_representation_fidelity(Q4, _q4_lattice(12), 512)
-        checks.append(_check("fock/lattice fidelity q=4 N=12 (D=512)", fid, 0.999,
-                             t0, larger_is_better=True))
-        checks.extend(check_amplified(cases=((4, 2),), dim=128))
-        checks.extend(check_commutators(dim=256))
-    else:
-        checks.extend(check_cross_representation())
-        checks.extend(check_amplified())
-        checks.extend(check_commutators())
-    return checks
+    schedule = _schedule(level)
+    results = [None] * len(schedule)
+    for eta_sq in dict.fromkeys(key for key, _ in schedule):
+        with fock.shared_quadratures():
+            for i, (key, check) in enumerate(schedule):
+                if key == eta_sq:
+                    results[i] = check()
+    return [r for res in results for r in (res if isinstance(res, tuple) else (res,))]

@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 
 import kho
-from kho import cli, fock, lattice, model, verify
+from kho import _lapack, cli, fock, lattice, model, verify
 from kho.cli import main
 
 
@@ -22,6 +22,15 @@ def read_lines(path):
 
 def data_rows(path):
     return [ln for ln in read_lines(path) if not ln.startswith("#")]
+
+
+def run_fresh(script: str) -> subprocess.CompletedProcess:
+    """script run in a fresh interpreter that imports this kho."""
+    src = os.path.dirname(os.path.dirname(kho.__file__))
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    return subprocess.run([sys.executable, "-c", script], env=env,
+                          capture_output=True, text=True)
 
 
 class TestEvolve:
@@ -279,9 +288,6 @@ class TestColdStart:
         scipy.linalg package (kho loads its LAPACK extension alone), so none
         of those modules loads, nor scipy's array-API layer: each would add
         to every cold start."""
-        src = os.path.dirname(os.path.dirname(kho.__file__))
-        env = dict(os.environ)
-        env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
         runs = [["resonances"], ["spectrum", "--dim", "8", "--scan-points", "2"],
                 ["energy-scan", "--dim", "16", "--scan-points", "2", "--kicks", "3"],
                 ["evolve", "--dim", "16", "--kicks", "2"],
@@ -294,8 +300,23 @@ class TestColdStart:
             "print(sorted(m for m in ('scipy.linalg', 'scipy._lib._array_api', 'scipy.special', "
             "'scipy.constants', 'multiprocessing', 'concurrent.futures.process', 'queue') "
             "if m in sys.modules))\n")
-        done = subprocess.run([sys.executable, "-c", script], env=env, check=True,
-                              capture_output=True, text=True)
+        done = run_fresh(script)
+        assert done.returncode == 0, done.stderr
+        assert done.stdout.strip() == "[]"
+
+    def test_verify_loads_no_numpy_random(self):
+        """The Graf check draws from the standard library's generator:
+        numpy.random would load secrets and, through it, hashlib's OpenSSL
+        extension and libcrypto, into every verify run."""
+        script = (
+            "import contextlib, io, sys\n"
+            "from kho.cli import main\n"
+            "with contextlib.redirect_stdout(io.StringIO()):\n"
+            "    assert main(['verify', '--verify-level', 'full']) == 0\n"
+            "print(sorted(m for m in ('numpy.random', 'secrets', '_hashlib') "
+            "if m in sys.modules))\n")
+        done = run_fresh(script)
+        assert done.returncode == 0, done.stderr
         assert done.stdout.strip() == "[]"
 
 
@@ -365,6 +386,28 @@ class TestVerify:
                  *verify.check_amplified(), *verify.check_commutators()]
         assert len(eigh_calls) > 2 * calls  # the checks alone share nothing
         assert [(c.name, c.measured) for c in checks] == [(c.name, c.measured) for c in alone]
+
+    @pytest.mark.parametrize("level", ["quick", "full"])
+    def test_each_block_holds_the_spectra_of_one_eta2(self, monkeypatch, level):
+        # every quadrature is diagonalized inside a shared_quadratures()
+        # block, and each of the three eta^2 has a block of its own
+        blocks = []
+        quadrature = fock._quadrature
+
+        def spy(eta, dim):
+            spectrum = quadrature(eta, dim)
+            held = fock._SHARED_QUADRATURES.get()
+            if not any(block is held for block in blocks):
+                blocks.append(held)
+            return spectrum
+
+        monkeypatch.setattr(fock, "_quadrature", spy)
+        assert all(c.passed for c in verify.run(level))
+        assert None not in blocks
+        etas = [{eta for eta, _ in block} for block in blocks]
+        assert [len(e) for e in etas] == [1, 1, 1]
+        eta2s = (math.pi, 2 * math.pi / math.sqrt(3), model.GOLDEN_RATIO * math.pi)
+        assert set().union(*etas) == {math.sqrt(x) for x in eta2s}
 
     def test_skewed_zeta_fails_cross_representation(self, capsys, monkeypatch):
         # a lattice route 5% off in zeta must fail the fidelity check
@@ -500,6 +543,25 @@ class TestUsageErrors:
         assert "kho: error:" in err
         assert "Traceback" not in err
         assert "invalid _" not in err  # a value's type is named, not its private parser
+
+    @pytest.mark.parametrize("argv, kernel, message", [
+        (["evolve", "--dim", "32", "--kicks", "1"], (_lapack, "eigh_tridiagonal"),
+         "Unable to allocate 74.5 GiB for an array with shape (100000, 100000)"),
+        (["qfunc", "--eta2", "pi", "--dim", "32", "--kicks", "1", "--res", "8"],
+         (fock, "q_functions"), ""),
+    ], ids=["evolve-eigensolve", "qfunc-grid"])
+    def test_allocation_failure_is_clean_error(self, tmp_path, capsys, monkeypatch,
+                                               argv, kernel, message):
+        # a basis or grid too big for memory: the kernel raises, never allocates
+        def fail(*args, **kwargs):
+            raise MemoryError(message)
+
+        monkeypatch.setattr(*kernel, fail)
+        code = main([*argv, "--out", str(tmp_path / "out.csv")])
+        assert code == cli.EXIT_USAGE
+        err = capsys.readouterr().err
+        assert err == f"kho: error: {message or 'MemoryError'}\n"
+        assert list(tmp_path.iterdir()) == []
 
     @pytest.mark.parametrize("argv", [
         ["evolve", "--dim", "32", "--kicks", "1", "--out", "{missing}/x.csv"],
