@@ -186,11 +186,11 @@ def cross_representation_fidelity(params: model.SystemParams,
     return fock.fidelity(ev.state, lattice.to_fock(state, dim).state)
 
 
-def check_q4_fidelity(dim: int = 512) -> CheckResult:
-    """The quick suite's one cross-representation case: Q4 at a fixed D."""
+def _q4_fidelity_case() -> CheckResult:
+    """The quick suite's one cross-representation case: Q4 at D=512."""
     t0 = time.perf_counter()
-    fid = cross_representation_fidelity(Q4, _q4_lattice(12), dim)
-    return _check(f"fock/lattice fidelity q=4 N=12 (D={dim})", fid, 0.999,
+    fid = cross_representation_fidelity(Q4, _q4_lattice(12), 512)
+    return _check("fock/lattice fidelity q=4 N=12 (D=512)", fid, 0.999,
                   t0, larger_is_better=True)
 
 
@@ -264,7 +264,7 @@ def _schedule(level: str) -> list[tuple[float | None, Callable]]:
                 (None, check_q4_closed_form), (None, check_state_roundtrip),
                 (None, check_q6_cycle)]
     if quick:
-        schedule.append((Q4.eta_sq, check_q4_fidelity))
+        schedule.append((Q4.eta_sq, _q4_fidelity_case))
     else:
         schedule += [(params.eta_sq, partial(_cross_representation_case, tag, params))
                      for tag, params in CRYSTAL_CASES]
