@@ -8,10 +8,11 @@ coefficients:
     M[j+1]_{m,n} = sum_k i^k J_k(zeta) M[j]_{m*xi_q + n - k, -m}
                    * exp(-i k m eta^2 sin(2 pi / q))
 
-which this module implements in scatter form: the entry at (m0, n0)
-contributes to (-n0, m0 + xi_q*n0 + k) with weight i^k J_k(zeta)
-e^{+i k n0 eta^2 sin(2 pi/q)} -- the same substitution m' = -n,
-n' = m + n*xi_q + k read in the opposite direction.
+A LatticeState holds them as one dense complex array `coeffs` (0 x 0 when
+empty), entries below EPS_LAT set to 0, with no border row or column of
+zeros.  `step` reads the recurrence from the source side: (m0, n0) goes to
+(-n0, m0 + xi_q*n0 + k) with weight i^k J_k(zeta) e^{+i k n0 eta^2 sin(2 pi/q)},
+so each source column n0 is convolved with these weights into row -n0.
 
 A LatticeState carries its system as a model.SystemParams.  The derivation
 fixes r = 1 and needs a crystal kick-axis set, q in {3, 4, 6}; the state
@@ -41,21 +42,27 @@ XI_Q = {3: -1, 4: 0, 6: 1}
 EPS_LAT = 1e-12  # magnitude threshold for retaining coefficients
 
 _I_POWERS = np.array([1, 1j, -1, -1j])  # i^k indexed by k mod 4
-_KEY_OFFSET = 1 << 31  # shifts a lattice index into the low 32 bits of a step key
 
 
-@dataclass
+@dataclass(eq=False)  # == is identity: compare coefficients with max_difference
 class LatticeState:
     alpha: complex  # coherent amplitude at the lattice center
     j: int  # kicks applied so far
     params: SystemParams
-    coeffs: dict[tuple[int, int], complex]
+    coeffs: np.ndarray  # complex 2-D: M_{m,n} at [m - origin[0], n - origin[1]]
+    origin: tuple[int, int]  # the (m, n) of coeffs[0, 0]
 
     def __post_init__(self):
         if self.params.r != 1:
             raise ValueError("the lattice mapping is derived for r = 1 only")
         if self.params.q not in XI_Q:
             raise ValueError(f"lattice evolution needs q in {sorted(XI_Q)}, got q={self.params.q}")
+        ms, ns = np.nonzero(self.coeffs)  # cut the border rows and columns of zeros
+        if ms.size:
+            self.coeffs = self.coeffs[ms.min():ms.max() + 1, ns.min():ns.max() + 1].copy()
+            self.origin = (int(self.origin[0] + ms.min()), int(self.origin[1] + ns.min()))
+        else:
+            self.coeffs, self.origin = np.zeros((0, 0), complex), (0, 0)
 
 
 @dataclass
@@ -71,39 +78,41 @@ class ConversionResult:
 
 def from_params(alpha: complex, params: SystemParams) -> LatticeState:
     """Lattice state for a bare coherent state |alpha>: M[0] = delta_m0 delta_n0."""
-    return LatticeState(alpha=complex(alpha), j=0, params=params, coeffs={(0, 0): 1.0 + 0.0j})
+    return LatticeState(complex(alpha), 0, params, np.ones((1, 1), complex), (0, 0))
+
+
+def max_difference(a: LatticeState, b: LatticeState) -> float:
+    """max |M_{m,n}(a) - M_{m,n}(b)| over the box holding both supports."""
+    held = [s for s in (a, b) if s.coeffs.size] or [a]  # an empty state has no place
+    lo = np.min([s.origin for s in held], axis=0)
+    diff = np.zeros(np.max([np.add(s.origin, s.coeffs.shape) for s in held], 0) - lo, complex)
+    for state, sign in ((a, 1), (b, -1)):
+        (m, n), (rows, cols) = state.origin - lo, state.coeffs.shape
+        diff[m:m + rows, n:n + cols] += sign * state.coeffs
+    return float(np.abs(diff).max(initial=0.0))
 
 
 def step(state: LatticeState, eps: float = EPS_LAT) -> LatticeState:
-    """Advance the coefficient lattice by one kick.
-
-    The k-sum truncates at k_cutoff(zeta).  All (coefficient, k) terms are
-    summed per target by one scatter-add, in source order; coefficients
-    below eps are dropped after the full accumulation.
-    """
+    """Advance the coefficient lattice by one kick: each source column n0 is
+    convolved with i^k J_k(zeta) e^{i k n0 w}, |k| <= k_cutoff(zeta), into
+    target row -n0; coefficients below eps are dropped after the full sum."""
     params = state.params
     xi = XI_Q[params.q]
     kc = specfun.k_cutoff(params.zeta)
     k = np.arange(-kc, kc + 1)
-    # i^k J_k(zeta), k = -kc..kc
-    wk = _I_POWERS[k % 4] * specfun.bessel_range(params.zeta, -kc, kc)
+    wk = _I_POWERS[k % 4] * specfun.bessel_range(params.zeta, -kc, kc)  # i^k J_k(zeta)
     w = params.eta_sq * math.sin(2.0 * math.pi / params.q)
-    keys = np.array(list(state.coeffs), dtype=np.int64).reshape(-1, 2)
-    vals = np.fromiter(state.coeffs.values(), complex, len(state.coeffs))
-    m0, n0 = keys[:, :1], keys[:, 1:]
-    # e^{i k n0 w} depends on the integer k*n0 alone: one exp per value
-    top = int(np.abs(n0 * kc).max(initial=0))
-    rot = np.exp(1j * w * np.arange(-top, top + 1))
-    contrib = (vals[:, None] * wk * rot[n0 * k + top]).ravel()
-    # target (-n0, m0 + xi*n0 + k) as one int64; |n'| < 2^31 keeps it unique
-    code = (-n0 << 32) + (m0 + xi * n0 + k + _KEY_OFFSET)
-    uniq, inv = np.unique(code.ravel(), return_inverse=True)
-    sums = np.bincount(inv, contrib.real) + 1j * np.bincount(inv, contrib.imag)
-    keep = np.abs(sums) >= eps
-    m_new, n_new = np.divmod(uniq[keep], 1 << 32)
-    new = dict(zip(zip(m_new.tolist(), (n_new - _KEY_OFFSET).tolist()),
-                   sums[keep].tolist()))
-    return LatticeState(alpha=state.alpha, j=state.j + 1, params=params, coeffs=new)
+    rows, cols = state.coeffs.shape
+    n0 = state.origin[1] + np.arange(cols)
+    # column n0 goes to row -n0 (out's rows run in -m order) from n' = origin[0] + xi*n0 - kc
+    lead = min(xi * n0, default=0)
+    out = np.zeros((cols, rows + 2 * kc + abs(xi) * (cols - 1)), complex)
+    kernels = wk * np.exp(1j * w * (n0[:, None] * k))
+    for c, start in enumerate(xi * n0 - lead):
+        out[c, start:start + rows + 2 * kc] = np.convolve(state.coeffs[:, c], kernels[c])
+    out[np.abs(out) < eps] = 0
+    return LatticeState(alpha=state.alpha, j=state.j + 1, params=params, coeffs=out[::-1],
+                        origin=(1 - cols - state.origin[1], state.origin[0] - kc + lead))
 
 
 def steps(state: LatticeState, n: int) -> LatticeState:
@@ -122,10 +131,7 @@ def bessel_growth_factors(n_kicks: int) -> tuple[int, int]:
     the closed-form counterpart of the kick strength amplifying linearly
     over full periods.
     """
-    if n_kicks % 2 == 0:
-        half = n_kicks // 2
-        return half, half
-    return (n_kicks - 1) // 2, (n_kicks + 1) // 2
+    return n_kicks // 2, (n_kicks + 1) // 2
 
 
 def analytic_q4(n_kicks: int, zeta: float, m, n):
@@ -198,13 +204,17 @@ def analytic_q6_cycle(state: LatticeState) -> LatticeState:
                                "which the q=6 three-step cycle needs")
     zeff = params.zeta * (state.j // 3 + 1)
     kc = specfun.k_cutoff(zeff)
-    ms, ns = np.meshgrid(np.arange(-3 * kc, 3 * kc + 1), np.arange(-2 * kc, 2 * kc + 1),
-                         indexing="ij")
-    vals = q6_triple_sum(zeff, ms, ns)
-    keep = np.abs(vals) >= EPS_LAT
-    coeffs = {(int(m), int(n)): complex(v)
-              for m, n, v in zip(ms[keep], ns[keep], vals[keep])}
-    return LatticeState(alpha=state.alpha, j=state.j + 3, params=params, coeffs=coeffs)
+    vals = q6_triple_sum(zeff, np.arange(-3 * kc, 3 * kc + 1)[:, None],
+                         np.arange(-2 * kc, 2 * kc + 1))
+    vals[np.abs(vals) < EPS_LAT] = 0
+    return LatticeState(alpha=state.alpha, j=state.j + 3, params=params, coeffs=vals,
+                        origin=(-3 * kc, -2 * kc))
+
+
+def _entries(state: LatticeState):
+    """(m, n, M_{m,n}) arrays of the nonzero coefficients, in sorted (m, n) order."""
+    ms, ns = np.nonzero(state.coeffs)  # row-major
+    return ms + state.origin[0], ns + state.origin[1], state.coeffs[ms, ns]
 
 
 def to_fock(state: LatticeState, dim: int) -> ConversionResult:
@@ -215,21 +225,16 @@ def to_fock(state: LatticeState, dim: int) -> ConversionResult:
     and psi_n sums the prefactors times c_n(beta + alpha_j) from
     specfun.coherent_fock.  The output is normalized; raw_norm records the
     pre-normalization norm, and the result is `reliable` when it is within
-    1e-3 of 1.  ValueError if it is 0: the basis holds none of the state.
+    1e-3 of 1.  ValueError if it is 0: the basis holds none of the state
+    (an empty state included).
     """
-    if not state.coeffs:
-        raise ValueError("empty coefficient map")
+    ms, ns, vals = _entries(state)
     q = state.params.q
     omega = np.exp(-2j * np.pi / q)
     alpha_j = state.alpha * omega ** state.j
-    global_phase = np.exp(-1j * np.pi * state.j / q)
-    items = sorted(state.coeffs.items())
-    ms = np.array([k[0] for k, _ in items])
-    ns = np.array([k[1] for k, _ in items])
-    vals = np.array([v for _, v in items])
     betas = 1j * state.params.eta * (ms + ns * omega)
-    pref = vals * np.exp((betas * np.conj(alpha_j) - np.conj(betas) * alpha_j) / 2.0)
-    pref *= global_phase
+    pref = (vals * np.exp((betas * np.conj(alpha_j) - np.conj(betas) * alpha_j) / 2.0)
+            * np.exp(-1j * np.pi * state.j / q))  # the global phase
     psi = np.array([pref @ c_n for c_n in specfun.coherent_fock(betas + alpha_j, dim)])
     raw_norm = float(np.linalg.norm(psi))
     if raw_norm == 0.0:
@@ -243,6 +248,7 @@ def to_fock(state: LatticeState, dim: int) -> ConversionResult:
 
 def to_json(state: LatticeState) -> str:
     params = state.params
+    ms, ns, vals = _entries(state)
     payload = {
         "alpha_re": state.alpha.real,
         "alpha_im": state.alpha.imag,
@@ -251,7 +257,7 @@ def to_json(state: LatticeState) -> str:
         "q": params.q,
         "kappa": params.kappa,
         "eta_sq": params.eta_sq,
-        "coeffs": [[m, n, v.real, v.imag] for (m, n), v in sorted(state.coeffs.items())],
+        "coeffs": list(zip(ms.tolist(), ns.tolist(), vals.real.tolist(), vals.imag.tolist())),
     }
     return json.dumps(payload)
 
@@ -261,6 +267,10 @@ def from_json(text: str) -> LatticeState:
     d = json.loads(text)
     params = SystemParams(r=int(d["r"]), q=int(d["q"]), kappa=float(d["kappa"]),
                           eta_sq=float(d["eta_sq"]))
-    coeffs = {(int(m), int(n)): complex(re, im) for m, n, re, im in d["coeffs"]}
+    triples = d["coeffs"]
+    idx = np.array([t[:2] for t in triples], dtype=int).reshape(-1, 2)
+    lo, hi = (idx.min(axis=0), idx.max(axis=0)) if triples else ((0, 0), (-1, -1))
+    coeffs = np.zeros(np.subtract(hi, lo) + 1, complex)
+    coeffs[tuple((idx - lo).T)] = [complex(re, im) for _, _, re, im in triples]
     return LatticeState(alpha=complex(d["alpha_re"], d["alpha_im"]), j=int(d["j"]),
-                        params=params, coeffs=coeffs)
+                        params=params, coeffs=coeffs, origin=lo)

@@ -130,33 +130,27 @@ def check_kick_expansion() -> CheckResult:
                   np.max([fock.interior_max(diff, block), *across]), 1e-8, t0)
 
 
-def _q4_lattice(n_kicks: int) -> lattice.LatticeState:
-    """The ground state of Q4 after n_kicks kicks."""
-    return lattice.steps(lattice.from_params(0.0, Q4), n_kicks)
-
-
 def check_q4_closed_form() -> tuple[CheckResult, CheckResult]:
     """The stepped q = 4 lattice state against analytic_q4, N = 2..8, from
     one walk: (mapping, phase pattern).
 
-    mapping: max |M[N]_{m,n} - analytic| over |m|, |n| <= 12, a coefficient
-    not retained counting as 0.  phase pattern: max |M[N]_{m,n} - pattern *
-    J_m(C_m zeta) J_n(C_n zeta)| over every retained coefficient.  Where
-    |J_m J_n| > d this bounds the quotient form |M / (J_m J_n) - pattern| by
-    measured / d; the quotient itself is ill-conditioned near Bessel zeros."""
+    mapping: max |M[N]_{m,n} - analytic| over |m|, |n| <= 12 and the retained
+    support, a value missing on either side counting as 0.  phase pattern:
+    max |M[N]_{m,n} - pattern * J_m(C_m zeta) J_n(C_n zeta)| over every
+    retained coefficient.  Where |J_m J_n| > d this bounds the quotient form
+    |M / (J_m J_n) - pattern| by measured / d; the quotient itself is
+    ill-conditioned near Bessel zeros."""
     t0 = time.perf_counter()
-    state = _q4_lattice(2)
-    box = range(-12, 13)
-    box_m, box_n = np.array(box)[:, None], np.array(box)
+    state = lattice.steps(lattice.from_params(0.0, Q4), 2)
+    box = np.arange(-12, 13)
     in_box = retained = 0.0
     for n_kicks in range(2, 9):
-        got = np.array([[state.coeffs.get((m, n), 0.0) for n in box] for m in box])
-        want = lattice.analytic_q4(n_kicks, Q4.zeta, box_m, box_n)
-        in_box = max(in_box, float(np.abs(got - want).max()))
-        ms, ns = np.array(list(state.coeffs)).T
-        vals = np.fromiter(state.coeffs.values(), complex, len(state.coeffs))
-        retained = max(retained, float(np.abs(
-            vals - lattice.analytic_q4(n_kicks, Q4.zeta, ms, ns)).max()))
+        want = lattice.analytic_q4(n_kicks, Q4.zeta, box[:, None], box)
+        in_box = max(in_box, lattice.max_difference(state, lattice.LatticeState(
+            alpha=0j, j=n_kicks, params=Q4, coeffs=want, origin=(-12, -12))))
+        ms, ns = np.nonzero(state.coeffs)
+        want = lattice.analytic_q4(n_kicks, Q4.zeta, ms + state.origin[0], ns + state.origin[1])
+        retained = max(retained, float(np.abs(state.coeffs[ms, ns] - want).max()))
         if n_kicks < 8:
             state = lattice.step(state)
     return (_check("lattice mapping vs closed form (q=4, N=2..8)", in_box, 1e-10, t0),
@@ -169,10 +163,7 @@ def check_q6_cycle() -> CheckResult:
     params = model.SystemParams(r=1, q=6, kappa=-0.18 * math.sqrt(2) * eta_sq,
                                 eta_sq=eta_sq)  # zeta = 0.18
     kick3 = lattice.steps(lattice.from_params(0.0, params), 3)
-    stepped = lattice.steps(kick3, 3)
-    jumped = lattice.analytic_q6_cycle(kick3)
-    keys = set(stepped.coeffs) | set(jumped.coeffs)
-    worst = max(abs(stepped.coeffs.get(k, 0.0) - jumped.coeffs.get(k, 0.0)) for k in keys)
+    worst = lattice.max_difference(lattice.steps(kick3, 3), lattice.analytic_q6_cycle(kick3))
     return _check("q=6 three-step cycle vs stepped mapping", worst, 1e-10, t0)
 
 
@@ -189,7 +180,7 @@ def cross_representation_fidelity(params: model.SystemParams,
 def _q4_fidelity_case() -> CheckResult:
     """The quick suite's one cross-representation case: Q4 at D=512."""
     t0 = time.perf_counter()
-    fid = cross_representation_fidelity(Q4, _q4_lattice(12), 512)
+    fid = cross_representation_fidelity(Q4, lattice.steps(lattice.from_params(0.0, Q4), 12), 512)
     return _check("fock/lattice fidelity q=4 N=12 (D=512)", fid, 0.999,
                   t0, larger_is_better=True)
 
@@ -224,8 +215,8 @@ def _amplified_case(params: model.SystemParams, v: int, dim: int) -> CheckResult
         fock.mismatch_up_to_phase(amp, fqv, block), 1e-7, t0)
 
 
-def check_amplified(cases=AMPLIFIED, dim: int = 256) -> list[CheckResult]:
-    return [_amplified_case(_principal(q), v, dim) for q, v in cases]
+def check_amplified() -> list[CheckResult]:
+    return [_amplified_case(_principal(q), v, 256) for q, v in AMPLIFIED]
 
 
 def _commutator_case(tag: str, params: model.SystemParams, dim: int) -> CheckResult:
@@ -235,8 +226,8 @@ def _commutator_case(tag: str, params: model.SystemParams, dim: int) -> CheckRes
     return _check(f"[F^q, D(gamma)] q={params.q} eta2={tag} (D={dim})", worst, 1e-6, t0)
 
 
-def check_commutators(dim: int = 512) -> list[CheckResult]:
-    return [_commutator_case(tag, params, dim) for tag, params in CRYSTAL_CASES]
+def check_commutators() -> list[CheckResult]:
+    return [_commutator_case(tag, params, 512) for tag, params in CRYSTAL_CASES]
 
 
 def check_state_roundtrip() -> CheckResult:
@@ -244,11 +235,9 @@ def check_state_roundtrip() -> CheckResult:
     params = model.SystemParams(r=1, q=4, kappa=-0.8, eta_sq=GOLDEN * math.pi)
     state = lattice.steps(lattice.from_params(0.25 + 0.1j, params), 3)
     back = lattice.from_json(lattice.to_json(state))
-    if (back.alpha, back.j, back.params) != (state.alpha, state.j, state.params):
-        worst = math.inf  # equal coefficients do not make up for a lost center, j or system
-    else:
-        worst = max(abs(state.coeffs.get(k, 0) - back.coeffs.get(k, 0))
-                    for k in set(state.coeffs) | set(back.coeffs))
+    # equal coefficients do not make up for a lost center, j or system
+    same = (back.alpha, back.j, back.params) == (state.alpha, state.j, state.params)
+    worst = lattice.max_difference(state, back) if same else math.inf
     return _check("lattice state JSON roundtrip", worst, 0.0, t0)
 
 

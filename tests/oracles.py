@@ -5,8 +5,9 @@ from the ascending power series or from mpmath at 40 digits (the
 implementation tabulates scipy.special.jv), displacement matrix elements
 from the associated-Laguerre closed form in mpmath (the implementation runs
 the Laguerre recurrence in double precision, vectorized over offsets), the
-lattice one-kick map is evaluated in gather form directly
-off the recurrence definition (the implementation scatters), kicks come
+lattice one-kick map is evaluated in gather form directly off the
+recurrence definition, on a dict of coefficients (the implementation
+convolves the columns of a dense array), kicks come
 from a dense complex eigensolve of the full rotated quadrature (the
 implementation builds parity blocks from one real tridiagonal eigensolve and
 turns axes by similarity), propagation applies the dense D x D Floquet
@@ -19,7 +20,9 @@ symmetry commutators multiply the dense F^q, zeros across parity included
 the displacement), and interior comparisons slice the dense matrices
 assembled from parity blocks (the implementation slices each block).  The
 band-gap statistic of acceptance criterion 9 and the commutation phase of
-two kick displacements live here too, as only tests use them.
+two kick displacements live here too, as only tests use them, and so does
+a dict view of a lattice state, {(m, n): M_{m,n}}, for tests that read or
+build coefficients one by one.
 """
 
 import math
@@ -64,6 +67,31 @@ def graf_sum_series(n: int, zeta: float, alpha: float, k_max: int) -> complex:
     return total
 
 
+def coeff_dict(state: LatticeState) -> dict:
+    """{(m, n): M_{m,n}} over the nonzero coefficients, read off the array
+    entry by entry."""
+    return {(state.origin[0] + a, state.origin[1] + b): complex(state.coeffs[a, b])
+            for a in range(state.coeffs.shape[0]) for b in range(state.coeffs.shape[1])
+            if state.coeffs[a, b] != 0}
+
+
+def dict_state(params, coeffs: dict, alpha: complex = 0.0, j: int = 0) -> LatticeState:
+    """The lattice state with the coefficients {(m, n): M_{m,n}}, placed on
+    their bounding box (the origin box when there are none)."""
+    ms = [m for m, _ in coeffs] or [0]
+    ns = [n for _, n in coeffs] or [0]
+    arr = np.zeros((max(ms) - min(ms) + 1, max(ns) - min(ns) + 1), dtype=complex)
+    for (m, n), v in coeffs.items():
+        arr[m - min(ms), n - min(ns)] = v
+    return LatticeState(alpha=alpha, j=j, params=params, coeffs=arr, origin=(min(ms), min(ns)))
+
+
+def same_state(a: LatticeState, b: LatticeState) -> bool:
+    """Equal center, kick count, system, origin and coefficient array."""
+    return ((a.alpha, a.j, a.params, a.origin) == (b.alpha, b.j, b.params, b.origin)
+            and a.coeffs.shape == b.coeffs.shape and bool(np.all(a.coeffs == b.coeffs)))
+
+
 def gather_step(state: LatticeState, span: int) -> dict:
     """One kick of the coefficient map evaluated in gather form:
 
@@ -76,12 +104,13 @@ def gather_step(state: LatticeState, span: int) -> dict:
     xi = XI_Q[params.q]
     kc = specfun.k_cutoff(params.zeta)
     w = params.eta_sq * math.sin(2.0 * math.pi / params.q)
+    coeffs = coeff_dict(state)
     out = {}
     for m in range(-span, span + 1):
         for n in range(-span, span + 1):
             total = 0.0 + 0.0j
             for k in range(-kc, kc + 1):
-                src = state.coeffs.get((m * xi + n - k, -m))
+                src = coeffs.get((m * xi + n - k, -m))
                 if src is None:
                     continue
                 phase = complex(math.cos(k * m * w), -math.sin(k * m * w))

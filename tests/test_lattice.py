@@ -8,7 +8,7 @@ import pytest
 from kho import fock, lattice, model, specfun
 from kho.model import SystemParams
 
-from oracles import bessel_series, gather_step
+from oracles import bessel_series, coeff_dict, dict_state, gather_step, same_state
 
 PHI = model.GOLDEN_RATIO
 
@@ -28,7 +28,7 @@ def params_for_zeta(q, eta_sq, zeta):
 
 def support_radius(state):
     """Largest |m| or |n| carrying a retained coefficient."""
-    return max(max(abs(m), abs(n)) for m, n in state.coeffs)
+    return max(max(abs(m), abs(n)) for m, n in coeff_dict(state))
 
 
 def random_sparse_state(q, eta_sq, zeta, seed, n_entries=12, span=6):
@@ -37,14 +37,13 @@ def random_sparse_state(q, eta_sq, zeta, seed, n_entries=12, span=6):
     for _ in range(n_entries):
         key = (int(rng.integers(-span, span + 1)), int(rng.integers(-span, span + 1)))
         coeffs[key] = complex(rng.normal(), rng.normal())
-    return lattice.LatticeState(alpha=0.0, j=0, params=params_for_zeta(q, eta_sq, zeta),
-                                coeffs=coeffs)
+    return dict_state(params_for_zeta(q, eta_sq, zeta), coeffs)
 
 
 class TestInit:
     def test_delta_initial_condition(self):
         st = lattice.from_params(0.3 + 0.2j, params_for_zeta(4, math.pi, 0.18))
-        assert st.coeffs == {(0, 0): 1.0 + 0.0j}
+        assert (st.origin, st.coeffs.tolist()) == ((0, 0), [[1.0 + 0.0j]])
         assert st.j == 0
 
     def test_fresh_state_converts_to_coherent(self):
@@ -75,7 +74,35 @@ class TestInit:
     def test_state_refuses_system(self, r, q, match):
         params = SystemParams(r=r, q=q, kappa=-0.8, eta_sq=math.pi)
         with pytest.raises(ValueError, match=match):
-            lattice.LatticeState(alpha=0.0, j=2, params=params, coeffs={(1, -1): 0.5 + 0j})
+            lattice.LatticeState(alpha=0.0, j=2, params=params, coeffs=np.array([[0.5 + 0j]]),
+                                 origin=(1, -1))
+
+
+class TestArrayForm:
+    def test_border_zeros_are_cut(self):
+        coeffs = np.zeros((5, 6), dtype=complex)
+        coeffs[1, 2], coeffs[3, 4] = 0.5, -0.25j
+        st = lattice.LatticeState(alpha=0.0, j=0, params=params_q4(), coeffs=coeffs,
+                                  origin=(-2, 7))
+        assert st.origin == (-1, 9) and st.coeffs.shape == (3, 3)
+        assert coeff_dict(st) == {(-1, 9): 0.5, (1, 11): -0.25j}
+        empty = lattice.LatticeState(alpha=0.0, j=0, params=params_q4(),
+                                     coeffs=np.zeros((2, 3), dtype=complex), origin=(4, 4))
+        assert (empty.origin, empty.coeffs.shape) == ((0, 0), (0, 0))
+
+    def test_max_difference_covers_both_supports(self, traced_peak):
+        p = params_q4()
+        a = dict_state(p, {(0, 0): 1.0, (2, -1): 0.5j})
+        b = dict_state(p, {(0, 0): 1.25, (-5, 8): 0.25})
+        assert lattice.max_difference(a, a) == 0.0
+        assert lattice.max_difference(a, b) == lattice.max_difference(b, a) == 0.5
+        assert lattice.max_difference(a, dict_state(p, {})) == 1.0
+        # an empty state adds no box: a far support is compared on its own
+        far, empty = dict_state(p, {(3, 10 ** 5): 0.5}), dict_state(p, {})
+        assert traced_peak(lambda: lattice.max_difference(far, empty)) < 1e5
+        assert lattice.max_difference(far, empty) == 0.5
+        assert lattice.max_difference(dict_state(p, {}), dict_state(p, {})) == 0.0
+        assert lattice.max_difference(b, dict_state(p, {(0, 0): 1.0, (-5, 8): 0.25})) == 0.25
 
 
 class TestStep:
@@ -83,14 +110,14 @@ class TestStep:
         p = params_q4()
         s1 = lattice.step(lattice.from_params(0.0, p))
         assert s1.j == 1
-        for (m, n), v in s1.coeffs.items():
+        for (m, n), v in coeff_dict(s1).items():
             assert m == 0
             assert v == pytest.approx((1j) ** n * specfun.bessel_j(n, p.zeta), abs=1e-15)
 
     def test_second_kick_closed_form(self):
         p = params_q4()
         s2 = lattice.steps(lattice.from_params(0.0, p), 2)
-        for (m, n), v in s2.coeffs.items():
+        for (m, n), v in coeff_dict(s2).items():
             want = ((1j) ** m * specfun.bessel_j(m, p.zeta)
                     * (1j) ** n * specfun.bessel_j(n, p.zeta) * (-1.0) ** (m * n))
             assert v == pytest.approx(want, abs=1e-14)
@@ -100,10 +127,11 @@ class TestStep:
             st = random_sparse_state(q, 1.7, 0.0, seed=q)
             out = lattice.step(st)
             xi = lattice.XI_Q[q]
-            want = {(-n0, m0 + xi * n0): v for (m0, n0), v in st.coeffs.items()}
-            assert set(out.coeffs) == set(want)
+            want = {(-n0, m0 + xi * n0): v for (m0, n0), v in coeff_dict(st).items()}
+            got = coeff_dict(out)
+            assert set(got) == set(want)
             for key, v in want.items():
-                assert out.coeffs[key] == pytest.approx(v, abs=1e-15)
+                assert got[key] == pytest.approx(v, abs=1e-15)
 
     def test_scatter_matches_gather_oracle(self):
         states = [random_sparse_state(q, PHI * math.pi, 0.21, seed=seed)
@@ -111,7 +139,7 @@ class TestStep:
         # resonant q = 4: the step phases are signs and many contributions cancel
         states.append(lattice.steps(lattice.from_params(0.0, params_q4()), 3))
         for st in states:
-            got = lattice.step(st, eps=0.0).coeffs
+            got = coeff_dict(lattice.step(st, eps=0.0))
             span = 2 * support_radius(st) + specfun.k_cutoff(st.params.zeta) + 2
             want = gather_step(st, span)
             keys = set(got) | set(want)
@@ -120,13 +148,37 @@ class TestStep:
 
     def test_empty_map_steps_to_empty_map(self):
         empty = random_sparse_state(4, math.pi, 0.18, seed=0, n_entries=0)
+        assert empty.coeffs.shape == (0, 0)
         out = lattice.step(empty)
-        assert out.coeffs == {} and out.j == 1
+        assert out.coeffs.shape == (0, 0) and out.j == 1
         # every sum below eps: nothing is retained
-        faint = lattice.from_params(0.0, params_for_zeta(4, math.pi, 0.18))
-        faint.coeffs = {(0, 0): 1e-14 + 0j, (2, -1): 1e-15j}
-        assert lattice.step(faint).coeffs == {}
-        assert lattice.steps(faint, 2).coeffs == {}
+        faint = dict_state(params_for_zeta(4, math.pi, 0.18),
+                           {(0, 0): 1e-14 + 0j, (2, -1): 1e-15j})
+        assert lattice.step(faint).coeffs.shape == (0, 0)
+        assert lattice.steps(faint, 2).coeffs.shape == (0, 0)
+
+    @pytest.mark.parametrize("q", [3, 4, 6])
+    def test_memory_follows_support_not_its_place(self, traced_peak, q):
+        # one coefficient far out along n: the step's memory is set by the
+        # 2 kc + 1 targets, not by n0 = 1e5 (a table of e^{i j w} for
+        # |j| <= kc*n0 would take 2*9*10^5+1 complex entries, 28.8 MB)
+        p = params_for_zeta(q, PHI * math.pi, 0.18)
+        kc = specfun.k_cutoff(p.zeta)
+        assert kc == 9
+        m0, n0, c = 3, 10 ** 5, 0.6 - 0.8j
+        st = dict_state(p, {(m0, n0): c})
+        lattice.step(st)  # loads the Bessel tables before the measured step
+        out = []  # eps = 0: every one of the 2 kc + 1 targets is kept
+        assert traced_peak(lambda: out.append(lattice.step(st, eps=0.0))) < 1e6
+        got = coeff_dict(out[0])
+        w = p.eta_sq * math.sin(2 * math.pi / q)
+        xi = lattice.XI_Q[q]
+        want = {(-n0, m0 + xi * n0 + k):
+                c * (1j) ** k * specfun.bessel_j(k, p.zeta) * cmath.exp(1j * w * (k * n0))
+                for k in range(-kc, kc + 1)}
+        assert set(got) == set(want)
+        for key, v in want.items():
+            assert got[key] == pytest.approx(v, abs=1e-15)
 
     def test_support_growth_bounded(self):
         p = params_q4(eta_sq=PHI * math.pi)
@@ -202,7 +254,7 @@ class TestPhasePattern:
         p = params_q4()
         st = lattice.steps(lattice.from_params(0.0, p), 4)
         cm, cn = lattice.bessel_growth_factors(4)
-        for (m, n), v in st.coeffs.items():
+        for (m, n), v in coeff_dict(st).items():
             den = specfun.bessel_j(m, cm * p.zeta) * specfun.bessel_j(n, cn * p.zeta)
             assert abs(v - lattice.phase_pattern(4, m, n) * den) < 1e-11
 
@@ -213,8 +265,9 @@ class TestPhasePattern:
         s3 = lattice.steps(lattice.from_params(0.0, p), 3)
         s4 = lattice.step(s3)
         deviations = []
-        for (m, n), v4 in s4.coeffs.items():
-            v3 = s3.coeffs.get((m, n))
+        c3 = coeff_dict(s3)
+        for (m, n), v4 in coeff_dict(s4).items():
+            v3 = c3.get((m, n))
             if v3 is None or abs(v3) < 1e-4 or abs(v4) < 1e-4:
                 continue
             q3 = v3 / (specfun.bessel_j(m, p.zeta) * specfun.bessel_j(n, 2 * p.zeta))
@@ -251,10 +304,10 @@ class TestQ6Cycle:
 
     def test_kick3_state_is_triple_sum(self):
         p = params_q6()
-        s3 = lattice.steps(lattice.from_params(0.0, p), 3)
+        s3 = coeff_dict(lattice.steps(lattice.from_params(0.0, p), 3))
         for m in range(-8, 9):
             for n in range(-8, 9):
-                got = s3.coeffs.get((m, n), 0.0)
+                got = s3.get((m, n), 0.0)
                 assert abs(got - lattice.q6_triple_sum(p.zeta, m, n)) < 1e-11
 
     def test_cycle_matches_three_steps(self):
@@ -263,9 +316,7 @@ class TestQ6Cycle:
         stepped = lattice.steps(s3, 3)
         jumped = lattice.analytic_q6_cycle(s3)
         assert jumped.j == 6
-        keys = set(stepped.coeffs) | set(jumped.coeffs)
-        worst = max(abs(stepped.coeffs.get(k, 0.0) - jumped.coeffs.get(k, 0.0)) for k in keys)
-        assert worst < 1e-10
+        assert lattice.max_difference(stepped, jumped) < 1e-10
 
     def test_second_cycle_linear_argument_growth(self):
         p = params_q6()
@@ -274,15 +325,13 @@ class TestQ6Cycle:
         jumped = lattice.analytic_q6_cycle(lattice.analytic_q6_cycle(
             lattice.steps(lattice.from_params(0.0, p), 3)))
         assert jumped.j == 9
-        keys = set(s9.coeffs) | set(jumped.coeffs)
-        worst = max(abs(s9.coeffs.get(k, 0.0) - jumped.coeffs.get(k, 0.0)) for k in keys)
-        assert worst < 1e-10
+        assert lattice.max_difference(s9, jumped) < 1e-10
 
     def test_zero_zeta_stays_single_coefficient(self):
         st = lattice.from_params(0.0, params_for_zeta(6, 2 * math.pi / math.sqrt(3), 0.0))
-        out = lattice.analytic_q6_cycle(st)
-        assert set(out.coeffs) == {(0, 0)}
-        assert out.coeffs[(0, 0)] == pytest.approx(1.0)
+        out = coeff_dict(lattice.analytic_q6_cycle(st))
+        assert set(out) == {(0, 0)}
+        assert out[(0, 0)] == pytest.approx(1.0)
 
     def test_preconditions(self):
         p = params_q6()
@@ -309,9 +358,7 @@ class TestQ6Cycle:
         stepped = lattice.steps(s3, 3)
         jumped = lattice.analytic_q6_cycle(s3)
         assert jumped.j == 6
-        keys = set(stepped.coeffs) | set(jumped.coeffs)
-        worst = max(abs(stepped.coeffs.get(k, 0.0) - jumped.coeffs.get(k, 0.0)) for k in keys)
-        assert worst < 1e-10
+        assert lattice.max_difference(stepped, jumped) < 1e-10
 
 
 class TestToFock:
@@ -320,7 +367,7 @@ class TestToFock:
         p = params_for_zeta(4, math.pi, 0.18)
         eta = p.eta
         alpha = 0.4 - 0.1j
-        st = lattice.LatticeState(alpha=alpha, j=0, params=p, coeffs={(1, 0): 1.0 + 0.0j})
+        st = dict_state(p, {(1, 0): 1.0 + 0.0j}, alpha=alpha)
         conv = lattice.to_fock(st, 96)
         beta = 1j * eta
         want = fock.coherent_state(alpha + beta, 96).amps
@@ -357,7 +404,7 @@ class TestSerialization:
         p = params_q4(eta_sq=PHI * math.pi)
         st = lattice.steps(lattice.from_params(0.3 - 0.2j, p), 3)
         back = lattice.from_json(lattice.to_json(st))
-        assert back == st
+        assert same_state(back, st)
 
     def test_schema_fields(self):
         st = lattice.from_params(0.25, params_q4())
@@ -365,6 +412,15 @@ class TestSerialization:
         assert set(d) == {"alpha_re", "alpha_im", "j", "r", "q", "kappa", "eta_sq", "coeffs"}
         assert (d["r"], d["q"], d["kappa"], d["eta_sq"]) == (1, 4, -0.8, math.pi)
         assert d["coeffs"] == [[0, 0, 1.0, 0.0]]
+        # a hand-built state, negative m and n included: the schema and the
+        # sorted (m, n) order of the coefficient list, as text
+        st = dict_state(SystemParams(r=1, q=3, kappa=-0.5, eta_sq=2.5),
+                        {(2, -3): 0.5 - 0.25j, (-1, 4): -1.5 + 0j, (-1, -2): 0.125j,
+                         (0, 0): 1e-3 + 2j, (2, 5): -0.75 - 0.0625j}, alpha=0.25 - 0.5j, j=7)
+        assert lattice.to_json(st) == (
+            '{"alpha_re": 0.25, "alpha_im": -0.5, "j": 7, "r": 1, "q": 3, "kappa": -0.5, '
+            '"eta_sq": 2.5, "coeffs": [[-1, -2, 0.0, 0.125], [-1, 4, -1.5, 0.0], '
+            '[0, 0, 0.001, 2.0], [2, -3, 0.5, -0.25], [2, 5, -0.75, -0.0625]]}')
 
     @pytest.mark.parametrize("field,value,match", [
         ("q", 5, "q in"),
@@ -376,7 +432,7 @@ class TestSerialization:
         p = params_for_zeta(3, model.resonant_values(3).principal, 0.18)
         st = lattice.steps(lattice.from_params(0.2j, p), 2)
         d = json.loads(lattice.to_json(st))
-        assert lattice.from_json(json.dumps(d)) == st
+        assert same_state(lattice.from_json(json.dumps(d)), st)
         d[field] = value
         with pytest.raises(ValueError, match=match):
             lattice.from_json(json.dumps(d))
