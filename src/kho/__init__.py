@@ -5,18 +5,20 @@ observables.
 Importing kho pins OpenBLAS to one thread unless OPENBLAS_NUM_THREADS is
 already set.  The kernels are D/2 x D/2 parity blocks, too small to gain from
 a second BLAS thread, and `--threads` pool workers fork from a process with
-the same setting, so output bytes do not depend on the core count.  The
-first submodule import below is also numpy's first import on the CLI path,
-and `fock` then loads scipy's LAPACK extension, with its own OpenBLAS,
-through `_lapack`: both libraries start under the setting.  A program that
+the same setting, so output bytes do not depend on the core count.
+
+The package imports none of its submodules: `from kho import fock` loads
+fock and what it uses, and `kho.cli` loads only `model` until a subcommand
+handler imports the numerics it runs.  numpy's first import on the CLI path
+is therefore in that handler, after the pin, and `fock` then loads scipy's
+LAPACK extension, with its own OpenBLAS, through `_lapack`: both libraries
+start under the setting.  `kho resonances` loads neither.  A program that
 imports numpy or scipy.linalg before kho keeps their thread setting.
 """
 
 import os
 
 os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
-
-from . import fock, lattice, model, output, specfun, verify  # noqa: E402
 
 __all__ = ["fock", "lattice", "model", "output", "specfun", "verify"]
 __version__ = "0.1.0"

@@ -17,9 +17,9 @@ import os
 import sys
 from dataclasses import replace
 
-import numpy as np
-
-from . import fock, model, output, verify
+# numpy and the numeric modules are imported by the handlers that run them:
+# `resonances`, `--help` and a usage error load none of them
+from . import model
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -167,6 +167,10 @@ def _config_echo(args, keys) -> dict:
 
 
 def cmd_evolve(args) -> int:
+    from . import fock, output
+
+    if args.state_out and os.path.realpath(args.state_out) == os.path.realpath(args.out):
+        raise ValueError(f"--state-out and --out name the same file: {args.out}")
     params = _system_params(args, args.eta2)
     cfg = _config_echo(args, ["q", "r", "kappa", "eta2", "dim", "kicks", "alpha"])
     cfg["eta2_value"] = output.fmt(params.eta_sq)
@@ -196,6 +200,8 @@ _QFUNC_PANELS = {"pi": (36, 108), "phi*pi": (36, 108)}  # eta^2 -> kick counts
 
 
 def cmd_qfunc(args) -> int:
+    from . import fock, output
+
     if args.out is not None:
         out = args.out
     else:
@@ -248,12 +254,16 @@ def cmd_qfunc(args) -> int:
 
 def _scan_grid(args) -> list[model.SystemParams]:
     """One system per eta^2 of a scan, once both bounds pass as systems."""
+    import numpy as np
+
     lo, hi = (_system_params(args, text) for text in (args.scan_min, args.scan_max))
     return [replace(lo, eta_sq=float(eta_sq))
             for eta_sq in np.linspace(lo.eta_sq, hi.eta_sq, args.scan_points)]
 
 
 def _energy_scan_point(payload):
+    from . import fock
+
     params, dim, n_max = payload
     res = fock.kicks_to_energy(params, max(ENERGY_TARGETS), n_max, dim=dim)
     crossings = fock.energy_crossings(res.energies, list(ENERGY_TARGETS))
@@ -274,6 +284,8 @@ def _map_points(worker, payloads, threads):
 
 
 def cmd_energy_scan(args) -> int:
+    from . import output
+
     systems = _scan_grid(args)
     results = _map_points(_energy_scan_point,
                           [(params, args.dim, args.kicks) for params in systems], args.threads)
@@ -297,6 +309,8 @@ def cmd_energy_scan(args) -> int:
 
 
 def _spectrum_point(payload):
+    from . import fock
+
     params, dim = payload
     res = fock.quasienergy_spectrum(params, dim)
     return [(params.eta_sq, phi, overlap)
@@ -304,6 +318,8 @@ def _spectrum_point(payload):
 
 
 def cmd_spectrum(args) -> int:
+    from . import output
+
     payloads = [(params, args.dim) for params in _scan_grid(args)]
     rows = [row for point_rows in _map_points(_spectrum_point, payloads, args.threads)
             for row in point_rows]
@@ -332,6 +348,8 @@ def cmd_resonances(args) -> int:
 
 
 def cmd_verify(args) -> int:
+    from . import verify
+
     checks = verify.run(args.verify_level)
     for c in checks:
         print(c.line())

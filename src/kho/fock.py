@@ -340,8 +340,10 @@ def symmetry_commutator_norm(params: SystemParams, dim: int, *gens: complex) -> 
     of parity s of F^q D come from block s and the rows of parity s of D, and
     the columns of parity s of D F^q from the columns of parity s of D and
     block s: half the products of the dense F^q, which is never assembled.
-    A generator that conjugates the one before it reuses its D in place, as
-    D(conj g) = conj D(g) in the real Fock matrices of a and a^dag.
+    A generator that conjugates the one before it, or is 1j times it, reuses
+    its D in place: D(conj g) = conj D(g) in the real Fock matrices of a and
+    a^dag, and <m|D(1j g)|n> = i^m <m|D(g)|n> i^-n, a quarter turn of phase
+    space (exact, as each factor only swaps or negates parts).
     """
     gens = [g for g in gens if g != 0]
     if not gens:
@@ -353,6 +355,10 @@ def symmetry_commutator_norm(params: SystemParams, dim: int, *gens: complex) -> 
     for gen in gens:
         if prev is not None and gen == prev.conjugate():
             np.conjugate(dg, out=dg)
+        elif prev is not None and gen == 1j * prev:
+            for k, unit in ((1, 1j), (2, -1), (3, -1j)):
+                dg[k::4] *= unit
+                dg[:, k::4] *= unit.conjugate()
         else:
             dg = None  # else it stays alive while this generator's is built
             dg = specfun.displacement_matrix(gen, dim, block=b)  # rows and columns < b only

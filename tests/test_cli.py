@@ -68,6 +68,19 @@ class TestEvolve:
         assert saved["dim"] == amps.size == 96
         assert np.linalg.norm(amps) == pytest.approx(1.0, abs=1e-10)
 
+    @pytest.mark.parametrize("state_out", ["P", "./sub/../P", "{tmp}/P", "link"])
+    def test_state_out_on_the_trace_path_is_usage_error(self, tmp_path, capsys,
+                                                        monkeypatch, state_out):
+        # the trace would overwrite the state JSON: refused before either is written
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "sub").mkdir()
+        (tmp_path / "link").symlink_to(tmp_path / "P")
+        code = main(["evolve", "--dim", "4", "--kicks", "2", "--out", "P",
+                     "--state-out", state_out.format(tmp=tmp_path)])
+        assert code == cli.EXIT_USAGE
+        assert capsys.readouterr().err.startswith("kho: error: --state-out and --out")
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["link", "sub"]
+
     def test_top_state_counts_in_a_basis_below_ten(self, tmp_path, capsys):
         # |alpha|^2 = 400 puts most of the renormalized state on n = 5 of 6
         out = tmp_path / "trace.csv"
@@ -287,7 +300,7 @@ class TestColdStart:
         use neither Bessel functions, SI constants, a process pool nor the
         scipy.linalg package (kho loads its LAPACK extension alone), so none
         of those modules loads, nor scipy's array-API layer: each would add
-        to every cold start."""
+        to every cold start.  Only verify loads kho.verify and kho.lattice."""
         runs = [["resonances"], ["spectrum", "--dim", "8", "--scan-points", "2"],
                 ["energy-scan", "--dim", "16", "--scan-points", "2", "--kicks", "3"],
                 ["evolve", "--dim", "16", "--kicks", "2"],
@@ -298,11 +311,45 @@ class TestColdStart:
             "from kho.cli import main\n"
             f"assert all(main(argv) in (0, 2) for argv in {argvs!r})\n"
             "print(sorted(m for m in ('scipy.linalg', 'scipy._lib._array_api', 'scipy.special', "
-            "'scipy.constants', 'multiprocessing', 'concurrent.futures.process', 'queue') "
+            "'scipy.constants', 'multiprocessing', 'concurrent.futures.process', 'queue', "
+            "'kho.verify', 'kho.lattice') "
             "if m in sys.modules))\n")
         done = run_fresh(script)
         assert done.returncode == 0, done.stderr
         assert done.stdout.strip() == "[]"
+
+    def test_resonances_help_and_usage_errors_load_no_numerics(self):
+        """The resonance table is plain arithmetic in kho.model, and --help and
+        a usage error end in argparse: none of them loads numpy, scipy or a
+        numeric kho module."""
+        script = (
+            "import contextlib, io, sys\n"
+            "from kho.cli import main\n"
+            "codes = []\n"
+            "for argv in (['resonances'], ['--help'], ['spectrum', '--dim', '0']):\n"
+            "    with contextlib.redirect_stdout(io.StringIO()), "
+            "contextlib.redirect_stderr(io.StringIO()):\n"
+            "        try:\n"
+            "            codes.append(main(argv))\n"
+            "        except SystemExit as exc:\n"
+            "            codes.append(exc.code)\n"
+            "print(codes)\n"
+            "print(sorted(m for m in ('numpy', 'scipy', 'kho.fock', 'kho.specfun', "
+            "'kho._lapack') if m in sys.modules))\n")
+        done = run_fresh(script)
+        assert done.returncode == 0, done.stderr
+        assert done.stdout.splitlines() == ["[0, 0, 1]", "[]"]
+
+    def test_cli_import_pins_blas_threads_before_numpy(self):
+        """numpy's first import comes in a handler, after kho's pin."""
+        script = (
+            "import os, sys\n"
+            "os.environ.pop('OPENBLAS_NUM_THREADS', None)\n"
+            "import kho.cli\n"
+            "print('numpy' in sys.modules, os.environ.get('OPENBLAS_NUM_THREADS'))\n")
+        done = run_fresh(script)
+        assert done.returncode == 0, done.stderr
+        assert done.stdout.split() == ["False", "1"]
 
     def test_verify_loads_no_numpy_random(self):
         """The Graf check draws from the standard library's generator:

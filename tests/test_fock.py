@@ -505,6 +505,28 @@ class TestSymmetryCommutator:
         assert len(calls) == 1
 
     @pytest.mark.parametrize("which", ["gamma", "Gamma"])
+    @pytest.mark.parametrize("case", [c for c in verify.CRYSTAL_CASES if c[1].q == 4],
+                             ids=lambda c: f"q4-{c[0]}")
+    def test_quarter_turn_pair_builds_one_displacement(self, monkeypatch, case, which):
+        # D(1j g) is D(g) with rows times i^m and columns times i^-n: the
+        # same matrix up to the rounding of a separate build
+        p = case[1]
+        g, g_turned = model.symmetry_generators(4, p.eta, which)
+        assert g_turned == 1j * g
+        each = max(fock.symmetry_commutator_norm(p, 256, gen) for gen in (g, g_turned))
+        built = []
+        build = specfun.displacement_matrix
+        monkeypatch.setattr(specfun, "displacement_matrix",
+                            lambda *a, **kw: built.append(build(*a, **kw)) or built[-1])
+        assert fock.symmetry_commutator_norm(p, 256, g, g_turned) == pytest.approx(
+            each, rel=1e-15, abs=0)
+        assert len(built) == 1
+        # the norm cannot tell D(1j g) from D(-1j g); the turned matrix can
+        b = fock.interior_block(256)
+        want = build(g_turned, 256, block=b)[:b, :b]
+        np.testing.assert_allclose(built[0][:b, :b], want, rtol=0, atol=1e-14)
+
+    @pytest.mark.parametrize("which", ["gamma", "Gamma"])
     @pytest.mark.parametrize("q", [3, 4, 6])
     @pytest.mark.parametrize("tag", ["principal", "phi*pi"])
     def test_parity_blocks_match_dense_formula(self, tag, q, which):
