@@ -335,11 +335,15 @@ def symmetry_commutator_norm(params: SystemParams, dim: int, *gens: complex) -> 
     """Worst interior max-norm of [F^q, D(gen)] over symmetry-set generators.
 
     F^q is built once for all of them, as its parity blocks, and only the
-    interior block of each commutator is formed, from the rows and columns
-    of D(gen) it reads.  F^q couples only states of one parity, so the rows
-    of parity s of F^q D come from block s and the rows of parity s of D, and
-    the columns of parity s of D F^q from the columns of parity s of D and
-    block s: half the products of the dense F^q, which is never assembled.
+    interior b x b block of each commutator is formed, by (s, t) sub-block:
+    its rows of parity s and columns of parity t, i_s x i_t states.  F^q
+    couples only states of one parity, so that sub-block is
+
+        F_s[:i_s] D[parity s, parity t < b] - D[parity s < b, parity t] F_t[:, :i_t],
+
+    half the products of the dense F^q, which is never assembled.  Of D(gen)
+    only the strip of columns < b is built: its rows < b follow from
+    <m|D|n> = (-1)^(m+n) conj <n|D|m>, one sign (-1)^(s+t) per sub-block.
     A generator that conjugates the one before it, or is 1j times it, reuses
     its D in place: D(conj g) = conj D(g) in the real Fock matrices of a and
     a^dag, and <m|D(1j g)|n> = i^m <m|D(g)|n> i^-n, a quarter turn of phase
@@ -361,14 +365,13 @@ def symmetry_commutator_norm(params: SystemParams, dim: int, *gens: complex) -> 
                 dg[:, k::4] *= unit.conjugate()
         else:
             dg = None  # else it stays alive while this generator's is built
-            dg = specfun.displacement_matrix(gen, dim, block=b)  # rows and columns < b only
+            dg = specfun.displacement_matrix(gen, dim, block=b)  # columns < b only
         prev = gen
-        comm = np.empty((b, b), dtype=complex)
-        for s, block in enumerate(fq):
-            comm[s::2] = block[:_interior(s, b)] @ dg[s::2, :b]
-        for s, block in enumerate(fq):
-            comm[:, s::2] -= dg[:b, s::2] @ block[:, :_interior(s, b)]
-        worst = max(worst, float(np.abs(comm).max()))
+        for s, fs in enumerate(fq):
+            for t, ft in enumerate(fq):
+                sub = fs[:_interior(s, b)] @ dg[s::2, t::2]
+                sub -= (-1) ** (s + t) * (dg[t::2, s::2].conj().T @ ft[:, :_interior(t, b)])
+                worst = max(worst, float(np.abs(sub).max()))
     return worst
 
 

@@ -170,17 +170,19 @@ def q6_triple_sum(zeta_eff: float, m, n):
     all arguments zeta_eff.  The coefficients cannot be reduced below a
     single sum over three Bessel factors; the three-kick cycle advances
     zeta_eff by one unit of zeta each time.  m and n are integers or
-    integer arrays, broadcast against each other.
+    integer arrays, broadcast against each other; the sum runs over k into
+    one array of their broadcast shape.
     """
-    m, n = np.asarray(m)[..., None], np.asarray(n)[..., None]
+    m, n = np.asarray(m), np.asarray(n)
     kc = specfun.k_cutoff(zeta_eff)
-    k = np.arange(-kc, kc + 1)
     top = kc + int(np.max(np.abs(m) + np.abs(n)))
     bessel = specfun.bessel_range(zeta_eff, -top, top)
-    jk, j1, j2 = (bessel[order + top] for order in (k, n - k, m + n - k))
-    power = _I_POWERS[(m + 2 * n - k) % 4]
-    sign = 1 - 2 * ((m * n + n * n + k * k) % 2)
-    return np.sum(sign * power * jk * j1 * j2, axis=-1)
+    total = 0
+    for k in range(-kc, kc + 1):
+        sign = 1 - 2 * ((m * n + n * n + k * k) % 2)
+        total += (sign * _I_POWERS[(m + 2 * n - k) % 4] * bessel[k + top]
+                  * bessel[n - k + top] * bessel[m + n - k + top])
+    return total
 
 
 def analytic_q6_cycle(state: LatticeState) -> LatticeState:

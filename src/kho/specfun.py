@@ -161,22 +161,22 @@ def graf_sum(n: int, zeta: float, alpha: float) -> complex:
 
 
 def displacement_matrix(alpha: complex, dim: int, block: int | None = None) -> np.ndarray:
-    """Dense dim x dim matrix of exact displacement elements <m|D(alpha)|n>.
+    """Dense matrix of exact displacement elements <m|D(alpha)|n>: all dim x
+    dim of them, or with `block` the dim x block strip of columns n < block.
 
     One pass of the Laguerre recurrence over the lower index n, vectorized
     across the dim - n diagonal offsets still inside the matrix, fills both
-    triangles, one row and one column per step.  With `block` < dim the pass
-    stops after n = block - 1: every entry with min(m, n) < block is filled,
-    bitwise as in the full matrix, and the rest, out[block:, block:], is left
-    NaN (for alpha != 0).
+    triangles, one column and one row per step; a strip stops after
+    n = block - 1 and is bitwise the full matrix's first block columns.  The
+    rows < block follow from the strip: D^dag = D(-alpha) = P D P with P the
+    parity (-1)^n, so <m|D|n> = (-1)^(m+n) conj <n|D|m>.
     """
     alpha = complex(alpha)
-    if alpha == 0:
-        return np.eye(dim, dtype=complex)
     block = dim if block is None else min(block, dim)
+    if alpha == 0:
+        return np.eye(dim, block, dtype=complex)
     x = abs(alpha) ** 2
-    out = np.empty((dim, dim), dtype=complex)
-    out[block:, block:] = np.nan
+    out = np.empty((dim, block), dtype=complex)
     offs = np.arange(dim)
     lg = ufuncs().gammaln(np.arange(dim) + 1.0)
     unit = alpha / abs(alpha)
@@ -200,7 +200,7 @@ def displacement_matrix(alpha: complex, dim: int, block: int | None = None) -> n
         logpref = 0.5 * (lg[n] - lg[n:]) + d_log_a[:width] - 0.5 * x
         mag = np.exp(logpref + logscale[:width]) * lk
         out[n:, n] = mag * phase_up[:width]
-        out[n, n:] = mag * phase_dn[:width]
+        out[n, n:] = mag[:block - n] * phase_dn[:block - n]
     return out
 
 

@@ -4,9 +4,9 @@ displacement expansion of the kick, amplified-kick equivalence, the lattice
 mapping against its closed forms, cross-representation fidelity, and the
 phase-space symmetry commutators.
 
-`run(level)` executes the quick suite (about 0.13 s on a 2-core Xeon host,
+`run(level)` executes the quick suite (about 0.12 s on a 2-core Xeon host,
 the first run in a process that has imported kho) or the full suite (about
-0.6 s) and returns per-check results with measured values.  It runs the
+0.5 s) and returns per-check results with measured values.  It runs the
 checks one eta^2 at a time, in one `fock.shared_quadratures()` block per
 eta^2: each quadrature is diagonalized once, and the spectra of an eta^2
 are dropped before the checks of the next one start.

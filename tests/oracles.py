@@ -238,12 +238,13 @@ def mismatch_up_to_phase_dense(a: np.ndarray, b: np.ndarray, block: int) -> floa
 
 def commutator_norm_dense(params, dim: int, *gens: complex) -> float:
     """Worst interior max-norm of [F^q, D(gen)] over gens, from the dense
-    F^q: max |fq[:b] D[:, :b] - D[:b] fq[:, :b]| with b the interior block."""
+    F^q and the full D(gen): max |fq[:b] D[:, :b] - D[:b] fq[:, :b]| with b
+    the interior block, its rows of D read as built, not from its columns."""
     b = fock.interior_block(dim)
     fq = assemble(fock.floquet_power(params, dim, params.q))
     worst = 0.0
     for gen in gens:
-        dg = specfun.displacement_matrix(gen, dim, block=b)
+        dg = specfun.displacement_matrix(gen, dim)
         worst = max(worst, float(np.abs(fq[:b] @ dg[:, :b] - dg[:b] @ fq[:, :b]).max()))
     return worst
 

@@ -479,8 +479,8 @@ class TestSymmetryCommutator:
 
     @pytest.mark.parametrize("dim", [256, 512])
     def test_conjugate_generator_gives_conjugate_displacement(self, dim):
-        # bitwise but for the sign of zero (x + 0.0 clears it), the NaN block
-        # past the interior included; |comm| does not see the sign of zero
+        # the column strips, bitwise but for the sign of zero (x + 0.0 clears
+        # it); |comm| does not see the sign of zero
         b = fock.interior_block(dim)
         pairs = [model.symmetry_generators(p.q, p.eta, "gamma")
                  for _, p in verify.CRYSTAL_CASES if p.q != 4]
@@ -551,6 +551,33 @@ class TestKickBuildMemory:
         p = params_q4()
         fock.kick_blocks(p, dim, parities=parities)  # first-call set-up is not the build's
         assert traced_peak(lambda: fock.kick_blocks(p, dim, parities=parities)) <= bound * dim ** 2
+
+
+class TestCommutatorMemory:
+    """symmetry_commutator_norm builds only the dim x b column strip of D(gen)
+    (16 b/dim D^2 bytes, 6.7 D^2 at D=512) and forms the interior commutator
+    by parity sub-block, so within a shared_quadratures() block that holds
+    the quadrature its peak is the F^q build's, about 20 D^2; with the full
+    D and the b x b commutator it was 29.5 D^2."""
+
+    DIM = 512
+
+    @pytest.mark.parametrize("case", [c for c in verify.CRYSTAL_CASES if c[1].q == 4],
+                             ids=lambda c: f"q4-{c[0]}")
+    def test_commutator_peak_bytes(self, traced_peak, case):
+        p = case[1]
+        gens = model.symmetry_generators(p.q, p.eta, "gamma")
+        with fock.shared_quadratures():
+            fock.symmetry_commutator_norm(p, self.DIM, *gens)  # caches the quadrature
+            peak = traced_peak(lambda: fock.symmetry_commutator_norm(p, self.DIM, *gens))
+        assert peak < 21 * self.DIM ** 2
+
+    def test_strip_peak_bytes(self, traced_peak):
+        gen = model.symmetry_generators(4, verify.Q4.eta, "gamma")[0]
+        b = fock.interior_block(self.DIM)
+        specfun.displacement_matrix(gen, self.DIM, block=b)  # first-call set-up is not the build's
+        peak = traced_peak(lambda: specfun.displacement_matrix(gen, self.DIM, block=b))
+        assert peak < 7.5 * self.DIM ** 2
 
 
 class TestSharedQuadratures:

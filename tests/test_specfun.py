@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from kho import specfun
+from kho import model, specfun
 
 from oracles import (bessel_mp, bessel_series, coherent_mp, displacement_mp,
                      graf_sum_series)
@@ -181,16 +181,29 @@ def test_displacement_large_order_stability():
         assert abs(mat[m, n] - displacement_mp(m, n, a)) < 1e-13
 
 
-def test_displacement_matrix_block_equals_full_bitwise():
-    # the commutator check's read block: D=512, b=213 rows and columns
+def test_displacement_matrix_strip_equals_full_columns_bitwise():
+    # the commutator check's strip: D=512, the b=213 columns of the interior
     a = 1.7 - 0.9j
     full = specfun.displacement_matrix(a, 512)
-    part = specfun.displacement_matrix(a, 512, block=213)
-    read = np.minimum.outer(np.arange(512), np.arange(512)) < 213
-    assert np.array_equal(part[read], full[read])
-    assert np.isnan(part[~read]).all()
+    strip = specfun.displacement_matrix(a, 512, block=213)
+    assert strip.shape == (512, 213)
+    assert np.array_equal(strip, full[:, :213])
     assert np.array_equal(specfun.displacement_matrix(a, 64, block=64),
                           specfun.displacement_matrix(a, 64))
+    assert np.array_equal(specfun.displacement_matrix(0, 64, block=20), np.eye(64, 20))
+
+
+@pytest.mark.parametrize("which", ["gamma", "Gamma"])
+@pytest.mark.parametrize("q", model.CRYSTAL_Q)
+def test_displacement_rows_follow_from_columns(q, which):
+    # <m|D|n> = (-1)^(m+n) conj <n|D|m>, so the rows < b come from the strip;
+    # for the commutator check's generators, at D=512 and b=213
+    dim, b = 512, 213
+    sign = 1 - 2 * (np.add.outer(np.arange(b), np.arange(dim)) % 2)
+    for eta_sq in (model.resonant_values(q).principal, model.GOLDEN_RATIO * math.pi):
+        for a in model.symmetry_generators(q, math.sqrt(eta_sq), which):
+            full = specfun.displacement_matrix(a, dim)
+            np.testing.assert_allclose(full[:b], sign * full[:, :b].conj().T, rtol=0, atol=1e-15)
 
 
 def test_coherent_fock_matches_displacement_column():
