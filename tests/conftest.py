@@ -4,11 +4,25 @@ OPENBLAS_NUM_THREADS is set; see kho/__init__.py), and holds the shared
 fixtures."""
 
 import tracemalloc
+from pathlib import Path
 
 import kho  # noqa: F401
+import numpy as np
 import pytest
 
 from kho import _lapack
+
+
+@pytest.fixture
+def numpy_openblas():
+    """The OpenBLAS files numpy's wheel bundles, where kho runs LAPACK; the
+    test is skipped where numpy bundles none."""
+    files = sorted(p for d in (Path(np.__file__).parents[1] / "numpy.libs",
+                               Path(np.__file__).parent / ".dylibs")
+                   for p in d.glob("*openblas*"))
+    if not files:
+        pytest.skip("numpy bundles no OpenBLAS")
+    return files
 
 
 @pytest.fixture

@@ -298,9 +298,8 @@ class TestColdStart:
     def test_light_commands_import_no_scipy_linalg_special_or_constants(self, tmp_path):
         """resonances and serial spectrum, energy-scan, evolve and qfunc runs
         use neither Bessel functions, SI constants, a process pool nor the
-        scipy.linalg package (kho loads its LAPACK extension alone), so none
-        of those modules loads, nor scipy's array-API layer: each would add
-        to every cold start.  Only verify loads kho.verify and kho.lattice."""
+        scipy.linalg package, so none of those modules loads, nor scipy's
+        array-API layer: each would add to every cold start.  Only verify loads kho.verify and kho.lattice."""
         runs = [["resonances"], ["spectrum", "--dim", "8", "--scan-points", "2"],
                 ["energy-scan", "--dim", "16", "--scan-points", "2", "--kicks", "3"],
                 ["evolve", "--dim", "16", "--kicks", "2"],
@@ -317,6 +316,41 @@ class TestColdStart:
         done = run_fresh(script)
         assert done.returncode == 0, done.stderr
         assert done.stdout.strip() == "[]"
+
+    def test_numeric_commands_load_no_scipy_module(self, tmp_path, numpy_openblas):
+        """evolve, qfunc, spectrum and energy-scan call LAPACK in numpy's own
+        OpenBLAS, so no module of the scipy package loads."""
+        runs = [["spectrum", "--dim", "8", "--scan-points", "2"],
+                ["energy-scan", "--dim", "16", "--scan-points", "2", "--kicks", "3"],
+                ["evolve", "--dim", "16", "--alpha=0.3-0.2j", "--kicks", "2"],
+                ["qfunc", "--eta2", "pi", "--dim", "16", "--kicks", "2", "--res", "5"]]
+        argvs = [argv + ["--out", str(tmp_path / str(i))] for i, argv in enumerate(runs)]
+        script = (
+            "import sys\n"
+            "from kho.cli import main\n"
+            f"assert all(main(argv) in (0, 2) for argv in {argvs!r})\n"
+            "print(sorted(m for m in sys.modules if m.partition('.')[0] == 'scipy'))\n")
+        done = run_fresh(script)
+        assert done.returncode == 0, done.stderr
+        assert done.stdout.strip() == "[]"
+
+    @pytest.mark.skipif(not sys.platform.startswith("linux"), reason="reads /proc/self/maps")
+    def test_spectrum_maps_one_openblas_numpys(self, tmp_path, numpy_openblas):
+        """After a spectrum run the process maps one OpenBLAS file, numpy's:
+        its matrix products and LAPACK calls run in the same library."""
+        argv = ["spectrum", "--dim", "16", "--scan-points", "2", "--out", str(tmp_path / "s")]
+        script = (
+            "import os\n"
+            "from kho.cli import main\n"
+            f"assert main({argv!r}) in (0, 2)\n"
+            "with open('/proc/self/maps') as fh:\n"
+            "    paths = {os.path.realpath(ln.split(maxsplit=5)[-1].strip()) for ln in fh}\n"
+            "print(*sorted(p for p in paths if 'openblas' in os.path.basename(p).lower()),\n"
+            "      sep='\\n')\n")
+        done = run_fresh(script)
+        assert done.returncode == 0, done.stderr
+        mapped = done.stdout.splitlines()
+        assert len(mapped) == 1 and mapped[0] in {os.path.realpath(p) for p in numpy_openblas}
 
     def test_resonances_help_and_usage_errors_load_no_numerics(self):
         """The resonance table is plain arithmetic in kho.model, and --help and

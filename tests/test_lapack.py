@@ -1,22 +1,20 @@
-"""kho._lapack against scipy.linalg: the same routine objects, the same
-bits, the same errors.
+"""kho._lapack against scipy.linalg: the same bits, the same errors, and
+the routines bound where they should be.
 
-`fock` calls LAPACK through kho._lapack, which loads scipy's _flapack
-extension without importing the scipy.linalg package.  Each of its four
-functions must return bitwise what the scipy.linalg function `fock` used
-to call returns with the keywords it passed, which SCIPY spells out.
+`fock` calls LAPACK through kho._lapack, which binds dstevd, dpotrf, dpotrs
+and dsyevr in numpy's bundled OpenBLAS through ctypes, or takes scipy.linalg's
+routines where numpy bundles none.  Each of its four functions must return
+bitwise what the scipy.linalg function `fock` used to call returns with the
+keywords it passed, which SCIPY spells out.
 """
 
+import ctypes
 import math
-import os
-import subprocess
-import sys
 
 import numpy as np
 import pytest
 import scipy.linalg
 
-import kho
 from kho import _lapack, cli, fock
 from kho.model import SystemParams
 
@@ -30,13 +28,30 @@ SCIPY = {
 }
 
 
+#: small runs of the four subcommands that reach LAPACK
+CLI_RUNS = {"spectrum": ["spectrum", "--dim", "96", "--scan-points", "3"],
+            "energy-scan": ["energy-scan", "--dim", "96", "--scan-points", "3", "--kicks", "40"],
+            "evolve": ["evolve", "--dim", "96", "--alpha=0.3-0.2j", "--kicks", "20"],
+            "qfunc": ["qfunc", "--eta2", "pi", "--dim", "96", "--kicks", "6", "--res", "21"]}
+
+
+def cli_outputs(directory):
+    """(exit code, output bytes) of each of CLI_RUNS, written into directory."""
+    directory.mkdir()
+    out = {}
+    for name, argv in CLI_RUNS.items():
+        path = directory / name
+        out[name] = cli.main(argv + ["--out", str(path)]), path.read_bytes()
+    return out
+
+
 def same_bits(a, b):
     a, b = np.asarray(a), np.asarray(b)
     return a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
 
 
-def quadrature(dim, eta=math.sqrt(math.pi)):
-    return np.zeros(dim), eta * np.sqrt(np.arange(1, dim))
+def quadrature(dim, eta_sq=math.pi):
+    return np.zeros(dim), math.sqrt(eta_sq) * np.sqrt(np.arange(1, dim))
 
 
 @pytest.fixture(scope="module")
@@ -50,31 +65,30 @@ def cayley():
     return np.eye(250) + gmat.real, gmat.imag
 
 
-def test_kho_and_scipy_linalg_share_the_routines(tmp_path):
-    """A later `import scipy.linalg` reuses the extension module kho loaded,
-    so both call the very same routine objects."""
-    src = os.path.dirname(os.path.dirname(kho.__file__))
-    env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
-    script = (
-        "import sys\n"
-        "import numpy as np\n"
-        "from kho import _lapack\n"
-        "flapack = sys.modules['scipy.linalg._flapack']\n"
-        "import scipy.linalg\n"
-        "funcs = scipy.linalg.get_lapack_funcs(_lapack._ROUTINES, dtype=np.float64)\n"
-        "print(all(f is getattr(_lapack, '_' + n) for n, f in zip(_lapack._ROUTINES, funcs)),\n"
-        "      scipy.linalg.lapack._flapack is flapack)\n")
-    done = subprocess.run([sys.executable, "-c", script], env=env, check=True,
-                          capture_output=True, text=True)
-    assert done.stdout.split() == ["True", "True"]
+def test_the_routines_resolve_in_numpys_openblas(numpy_openblas):
+    """Each routine kho calls is the ILP64 symbol of numpy's own OpenBLAS,
+    the library that already runs numpy's matrix products."""
+    lib = ctypes.CDLL(str(numpy_openblas[0]))
+
+    def address(f):
+        return ctypes.cast(f, ctypes.c_void_p).value
+
+    for kernel, name in [(_lapack._stevd, "stevd"), (_lapack._potrf, "potrf"),
+                         (_lapack._potrs, "potrs"), (_lapack._syevr_lwork, "syevr"),
+                         (_lapack._syevr, "syevr")]:
+        symbol = next(getattr(lib, s) for s in (f"scipy_d{name}_64_", f"d{name}_64_")
+                      if hasattr(lib, s))
+        assert address(kernel.args[0]) == address(symbol)
 
 
-@pytest.mark.parametrize("dim", [1, 2, 257, 500])
+@pytest.mark.parametrize("dim", [1, 2, 128, 256, 257, 500, 512, 1000])
 def test_eigh_tridiagonal_is_scipys_bitwise(dim):
-    d, e = quadrature(dim)
-    ours, theirs = _lapack.eigh_tridiagonal(d, e), SCIPY["eigh_tridiagonal"](d, e)
-    assert all(same_bits(a, b) for a, b in zip(ours, theirs))
+    """At the sizes and eta^2 (pi, phi pi, 2 pi / sqrt 3) verify and the
+    benchmark workloads run."""
+    for eta_sq in (math.pi, (1 + math.sqrt(5)) / 2 * math.pi, 2 * math.pi / math.sqrt(3)):
+        d, e = quadrature(dim, eta_sq)
+        ours, theirs = _lapack.eigh_tridiagonal(d, e), SCIPY["eigh_tridiagonal"](d, e)
+        assert all(same_bits(a, b) for a, b in zip(ours, theirs)), eta_sq
 
 
 def test_cholesky_is_scipys_bitwise(cayley):
@@ -110,34 +124,25 @@ def test_indefinite_matrix_is_lin_alg_error():
         _lapack.cho_factor(a)
 
 
-def test_without_the_extension_falls_back_to_scipy_linalg(tmp_path, monkeypatch):
-    """The scipy.linalg imported above holds the extension kho loaded, so
-    the fallback returns the very routines kho calls."""
-    monkeypatch.delitem(sys.modules, _lapack._FLAPACK)
-    routines = _lapack._routines(tmp_path)
-    assert _lapack._FLAPACK not in sys.modules  # nothing was loaded from tmp_path
-    assert all(f is getattr(_lapack, "_" + n) for n, f in zip(_lapack._ROUTINES, routines))
+def test_without_numpys_openblas_falls_back_to_scipy_linalg(tmp_path, monkeypatch):
+    """Pointed at a directory without the library, the loader takes
+    scipy.linalg's own routines, and the four subcommands write the bytes
+    of the primary path through them."""
+    routines = _lapack._routines([tmp_path])
+    theirs = scipy.linalg.get_lapack_funcs(("stevd", "potrf", "potrs", "syevr_lwork", "syevr"),
+                                           dtype=np.float64)
+    assert all(r.func is f for r, f in zip(routines, theirs))
+    shipped = cli_outputs(tmp_path / "shipped")
+    for name, routine in zip(("_stevd", "_potrf", "_potrs", "_syevr_lwork", "_syevr"), routines):
+        monkeypatch.setattr(_lapack, name, routine)
+    assert cli_outputs(tmp_path / "fallback") == shipped
 
 
 def test_cli_bytes_equal_those_through_scipy_linalg(tmp_path, monkeypatch):
     """Every output byte of small spectrum, energy-scan, evolve and qfunc runs
     is the same through kho._lapack and through scipy.linalg: a change in
     scipy's calling conventions fails here, not in the CSV bytes."""
-    runs = {"spectrum": ["spectrum", "--dim", "96", "--scan-points", "3"],
-            "energy-scan": ["energy-scan", "--dim", "96", "--scan-points", "3",
-                            "--kicks", "40"],
-            "evolve": ["evolve", "--dim", "96", "--alpha=0.3-0.2j", "--kicks", "20"],
-            "qfunc": ["qfunc", "--eta2", "pi", "--dim", "96", "--kicks", "6", "--res", "21"]}
-
-    def outputs(tag):
-        out = {}
-        for name, argv in runs.items():
-            path = tmp_path / f"{tag}-{name}"
-            code = cli.main(argv + ["--out", str(path)])
-            out[name] = code, path.read_bytes()
-        return out
-
-    shipped = outputs("lapack")
+    shipped = cli_outputs(tmp_path / "lapack")
     for name, adapter in SCIPY.items():
         monkeypatch.setattr(_lapack, name, adapter)
-    assert outputs("scipy") == shipped
+    assert cli_outputs(tmp_path / "scipy") == shipped
