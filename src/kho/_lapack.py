@@ -1,26 +1,27 @@
-"""The four LAPACK calls of `fock`, in numpy's own OpenBLAS.
+"""The three LAPACK routines of `fock`, in numpy's own OpenBLAS.
 
 numpy's wheels bundle an OpenBLAS with 64-bit integers in `numpy.libs` (or
-`numpy/.dylibs` on macOS), which numpy loads.  Its dstevd, dpotrf, dpotrs and
-dsyevr are called here through ctypes, so `fock` loads no scipy module and
-maps no second OpenBLAS; without that library (conda, Accelerate) they come
-from scipy.linalg.get_lapack_funcs.  Either way each runs as scipy.linalg's
-f2py wrappers run it, with the same job, sizes and input copies (C-ordered
+`numpy/.dylibs` on macOS), which numpy loads.  Its dstevd, dposv and dsyevr
+are called here through ctypes, so `fock` loads no scipy module and maps no
+second OpenBLAS; without that library (conda, Accelerate) they come from
+scipy.linalg.get_lapack_funcs.  Either way each runs as scipy.linalg's f2py
+wrappers run it, with the same job, sizes and input copies (C-ordered
 matrices go to Fortran order) and Fortran-ordered eigenvectors, so results
 are bitwise those of eigh_tridiagonal(d, e) and, with check_finite=False,
-cho_factor(a, overwrite_a=True)[0], cho_solve((c, False), b) and eigh(a).
+cho_solve(cho_factor(a, overwrite_a=True), b) and eigh(a): dposv is
+dpotrf then dpotrs in one call.
 """
 
 from __future__ import annotations
 
 import ctypes
-from functools import partial
+from functools import lru_cache, partial
 from pathlib import Path
 
 import numpy as np
 
 #: each routine's pointer arguments, info included, and character arguments
-_ROUTINES = {"stevd": (11, 1), "potrf": (5, 1), "potrs": (8, 1), "syevr": (21, 3)}
+_ROUTINES = {"stevd": (11, 1), "posv": (8, 1), "syevr": (21, 3)}
 _SCALAR = {int: ctypes.c_int64, float: ctypes.c_double}
 
 
@@ -41,14 +42,9 @@ def _dstevd(routine, d, e):
     return w, z, _fortran(routine, b"V", n, w, e, z, n, work, work.size, iwork, iwork.size)
 
 
-def _dpotrf(routine, a):  # in a's storage where a is Fortran-ordered, as overwrite_a=1
-    c = np.asfortranarray(a, np.float64)
-    return c, _fortran(routine, b"U", c.shape[0], c, c.shape[0])
-
-
-def _dpotrs(routine, c, b):
-    c, x = np.asfortranarray(c, np.float64), np.array(b, np.float64, order="F")
-    return x, _fortran(routine, b"U", c.shape[0], x.shape[1], c, c.shape[0], x, x.shape[0])
+def _dposv(routine, a, b):  # in a's storage where a is Fortran-ordered, as overwrite_a=1
+    c, x = np.asfortranarray(a, np.float64), np.array(b, np.float64, order="F")
+    return c, x, _fortran(routine, b"U", c.shape[0], x.shape[1], c, c.shape[0], x, x.shape[0])
 
 
 def _dsyevr_lwork(routine, n):  # the query reads no matrix: 1-element stand-ins
@@ -67,29 +63,28 @@ def _dsyevr(routine, a, lwork, liwork):
 
 
 def _routines(dirs) -> tuple:
-    """(stevd(d, e), potrf(a), potrs(c, b), syevr_lwork(n), syevr(a, lwork=,
-    liwork=)), each returning info last: the kernels above on the first
-    OpenBLAS file in dirs that exports the _ROUTINES with 64-bit
-    integers, else scipy.linalg's routines with scipy.linalg's keywords."""
+    """(stevd(d, e), posv(a, b), syevr_lwork(n), syevr(a, lwork=, liwork=)),
+    each returning info last: the kernels above on the first OpenBLAS file
+    in dirs that exports the _ROUTINES with 64-bit integers, else
+    scipy.linalg's routines with scipy.linalg's keywords."""
     for path in sorted(p for d in dirs for p in Path(d).glob("*openblas*")):
         lib = ctypes.CDLL(str(path))
         for symbol in ("scipy_d{}_64_", "d{}_64_"):
             if all(hasattr(lib, symbol.format(n)) for n in _ROUTINES):
-                stevd, potrf, potrs, syevr = (getattr(lib, symbol.format(n)) for n in _ROUTINES)
-                for f, (refs, chars) in zip((stevd, potrf, potrs, syevr), _ROUTINES.values()):
+                stevd, posv, syevr = (getattr(lib, symbol.format(n)) for n in _ROUTINES)
+                for f, (refs, chars) in zip((stevd, posv, syevr), _ROUTINES.values()):
                     f.argtypes = [ctypes.c_void_p] * refs + [ctypes.c_size_t] * chars
                     f.restype = None
-                return (partial(_dstevd, stevd), partial(_dpotrf, potrf), partial(_dpotrs, potrs),
+                return (partial(_dstevd, stevd), partial(_dposv, posv),
                         partial(_dsyevr_lwork, syevr), partial(_dsyevr, syevr))
     from scipy.linalg import get_lapack_funcs
-    stevd, potrf, potrs, syevr, syevr_lwork = get_lapack_funcs(
+    stevd, posv, syevr, syevr_lwork = get_lapack_funcs(
         (*_ROUTINES, "syevr_lwork"), dtype=np.float64)
-    return (partial(stevd, compute_v=1), partial(potrf, lower=0, clean=0, overwrite_a=1),
-            partial(potrs, lower=0, overwrite_b=0), partial(syevr_lwork, lower=1),
-            partial(syevr, compute_v=1, lower=1, overwrite_a=1))
+    return (partial(stevd, compute_v=1), partial(posv, lower=0, overwrite_a=1, overwrite_b=0),
+            partial(syevr_lwork, lower=1), partial(syevr, compute_v=1, lower=1, overwrite_a=1))
 
 
-_stevd, _potrf, _potrs, _syevr_lwork, _syevr = _routines(
+_stevd, _posv, _syevr_lwork, _syevr = _routines(
     [Path(np.__file__).parents[1] / "numpy.libs", Path(np.__file__).parent / ".dylibs"])
 
 
@@ -112,29 +107,28 @@ def eigh_tridiagonal(d, e) -> tuple[np.ndarray, np.ndarray]:
     return w, v
 
 
-def cho_factor(a: np.ndarray) -> np.ndarray:
-    """Upper Cholesky factor U of the symmetric positive definite a, for
-    cho_solve, computed in a's storage where it can be (Fortran order);
-    the strict lower triangle is left as it was.  LinAlgError if a is not
-    positive definite."""
-    c, info = _potrf(a)
-    _check(info, "potrf")
-    return c
-
-
-def cho_solve(c: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """x with U^T U x = b, for U = cho_factor(a); b is kept."""
-    x, info = _potrs(c, b)
-    _check(info, "potrs")
+def solve_spd(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """x with a x = b for the symmetric positive definite a, read from its
+    upper triangle; a's storage may be overwritten, b is kept.  LinAlgError
+    if a is not positive definite."""
+    _, x, info = _posv(a, b)
+    _check(info, "posv")
     return x
+
+
+@lru_cache
+def _workspace(n: int) -> tuple[int, int]:
+    """syevr's (lwork, liwork) for an n x n matrix, queried once per n."""
+    lwork, liwork, info = _syevr_lwork(n)
+    _check(info, "syevr_lwork")
+    return int(lwork), int(liwork)
 
 
 def eigh(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Eigenvalues, ascending, and orthonormal eigenvectors (columns) of the
     real symmetric a, read from its lower triangle; a's storage may be
     overwritten."""
-    lwork, liwork, info = _syevr_lwork(a.shape[0])
-    _check(info, "syevr_lwork")
-    w, v, *_, info = _syevr(a, lwork=int(lwork), liwork=int(liwork))
+    lwork, liwork = _workspace(a.shape[0])
+    w, v, *_, info = _syevr(a, lwork=lwork, liwork=liwork)
     _check(info, "syevr")
     return w, v

@@ -511,14 +511,13 @@ def quasienergy_spectrum(params: SystemParams, dim: int) -> SpectrumResult:
         shift = first_shift
         for _ in range(_CAYLEY_SHIFTS):
             try:
-                ipc = _lapack.cho_factor(np.eye(len(gmat)) + gmat.real)
-                h = _lapack.cho_solve(ipc, gmat.imag)
+                h = _lapack.solve_spd(np.eye(len(gmat)) + gmat.real, gmat.imag)
             except np.linalg.LinAlgError:  # an eigenvalue of G on -1: the gap rule turns G to -G
                 mu, residual = np.array([-1.0 + 0j]), math.inf
             else:
                 h += h.T  # 2H, exactly symmetric, same eigenvectors
                 vecs = _lapack.eigh(h)[1]
-                del ipc, h  # frees two buffers before the Rayleigh step's peak
+                del h  # frees its buffer before the Rayleigh step's peak
                 # row k is (G o_k)^T as G is symmetric; one real GEMM on (Re, Im) columns
                 g_vecs = (vecs.T @ gmat.view(np.float64)).view(complex)
                 mu = np.einsum("kj,jk->k", g_vecs, vecs)

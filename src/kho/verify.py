@@ -17,7 +17,7 @@ from __future__ import annotations
 import math
 import time
 from collections.abc import Callable
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from functools import partial
 
 import numpy as np
@@ -26,15 +26,21 @@ from . import fock, lattice, model, specfun
 
 GOLDEN = model.GOLDEN_RATIO
 
+
+def _principal(q: int) -> model.SystemParams:
+    """The system of the checks at kick count q: q at its principal resonance."""
+    return model.SystemParams(r=1, q=q, kappa=-0.8, eta_sq=model.resonant_values(q).principal)
+
+
 #: the resonant q = 4 system of the acceptance checks
-Q4 = model.SystemParams(r=1, q=4, kappa=-0.8, eta_sq=math.pi)
+Q4 = _principal(4)
 #: (tag, system) at the principal resonance and at phi*pi for each crystal q,
 #: the cases of the cross-representation and commutator checks
 CRYSTAL_CASES = tuple(
-    (tag, model.SystemParams(r=1, q=q, kappa=-0.8, eta_sq=eta_sq))
+    (tag, params)
     for q in model.CRYSTAL_Q
-    for tag, eta_sq in (("principal", model.resonant_values(q).principal),
-                        ("phi*pi", GOLDEN * math.pi)))
+    for tag, params in (("principal", _principal(q)),
+                        ("phi*pi", replace(_principal(q), eta_sq=GOLDEN * math.pi))))
 #: (q, v) of the full suite's amplified-kick checks, each q at its principal resonance
 AMPLIFIED = ((4, 2), (4, 3), (3, 2))
 
@@ -45,7 +51,7 @@ class CheckResult:
     passed: bool
     measured: float
     tol: float
-    seconds: float
+    seconds: float = 0.0  # set by run()
     note: str = ""
 
     def line(self) -> str:
@@ -55,14 +61,13 @@ class CheckResult:
                 f"tol={self.tol:.1e} ({self.seconds:.1f}s){note}")
 
 
-def _check(name, measured, tol, t0, note="", larger_is_better=False):
+def _check(name, measured, tol, note="", larger_is_better=False):
     passed = measured >= tol if larger_is_better else measured <= tol
     return CheckResult(name=name, passed=passed, measured=float(measured),
-                       tol=float(tol), seconds=time.perf_counter() - t0, note=note)
+                       tol=float(tol), note=note)
 
 
 def check_resonant_table() -> CheckResult:
-    t0 = time.perf_counter()
     expected = {
         1: (model.ResonanceKind.TRIVIAL_PERIOD, None),
         2: (model.ResonanceKind.TRIVIAL_PERIOD, None),
@@ -80,7 +85,7 @@ def check_resonant_table() -> CheckResult:
             worst = 1.0
         elif principal is not None:
             worst = max(worst, abs(rc.principal - principal))
-    return _check("resonant-value table q=1..8", worst, 1e-15, t0)
+    return _check("resonant-value table q=1..8", worst, 1e-15)
 
 
 def check_graf_closure() -> CheckResult:
@@ -88,7 +93,6 @@ def check_graf_closure() -> CheckResult:
     # through it, hashlib and libcrypto, for 100 draws
     import random
 
-    t0 = time.perf_counter()
     rng = random.Random(424242)
     worst = 0.0
     for _ in range(100):
@@ -104,20 +108,18 @@ def check_graf_closure() -> CheckResult:
         for zeta in (0.3, 1.3, 2.7):
             worst = max(worst, abs(specfun.graf_sum(n, zeta, math.pi)
                                    - specfun.bessel_j(n, 2 * zeta)))
-    return _check("Graf closure (100 random triples + alpha=pi)", worst, 1e-12, t0)
+    return _check("Graf closure (100 random triples + alpha=pi)", worst, 1e-12)
 
 
 def check_axis_product() -> CheckResult:
-    t0 = time.perf_counter()
     fq = fock.floquet_power(Q4, 128, Q4.q)
     prod = fock.kick_axis_product(Q4, 128)
     # both are exactly 0 across parity, so their blocks hold every difference
     return _check("q-axis product vs F^q (D=128, full matrix)",
-                  fock.interior_max([a - b for a, b in zip(fq, prod)], 128), 1e-8, t0)
+                  fock.interior_max([a - b for a, b in zip(fq, prod)], 128), 1e-8)
 
 
 def check_kick_expansion() -> CheckResult:
-    t0 = time.perf_counter()
     block = fock.interior_block(256)
     # the expansion's leading block x block entries do not depend on its size
     expansion = fock.kick_expansion_matrix(Q4, block)
@@ -127,7 +129,7 @@ def check_kick_expansion() -> CheckResult:
     # the spectral kick is exactly 0 across parity: there the mismatch is the expansion
     across = [np.abs(expansion[s::2, 1 - s::2]).max() for s in (0, 1)]
     return _check(f"kick spectral vs displacement expansion (D=256, block={block})",
-                  np.max([fock.interior_max(diff, block), *across]), 1e-8, t0)
+                  np.max([fock.interior_max(diff, block), *across]), 1e-8)
 
 
 def check_q4_closed_form() -> tuple[CheckResult, CheckResult]:
@@ -140,7 +142,6 @@ def check_q4_closed_form() -> tuple[CheckResult, CheckResult]:
     retained coefficient.  Where |J_m J_n| > d this bounds the quotient form
     |M / (J_m J_n) - pattern| by measured / d; the quotient itself is
     ill-conditioned near Bessel zeros."""
-    t0 = time.perf_counter()
     state = lattice.steps(lattice.from_params(0.0, Q4), 2)
     box = np.arange(-12, 13)
     in_box = retained = 0.0
@@ -153,18 +154,17 @@ def check_q4_closed_form() -> tuple[CheckResult, CheckResult]:
         retained = max(retained, float(np.abs(state.coeffs[ms, ns] - want).max()))
         if n_kicks < 8:
             state = lattice.step(state)
-    return (_check("lattice mapping vs closed form (q=4, N=2..8)", in_box, 1e-10, t0),
-            _check("resonant phase pattern (-1)^{mn} i^{m+n}", retained, 1e-10, t0))
+    return (_check("lattice mapping vs closed form (q=4, N=2..8)", in_box, 1e-10),
+            _check("resonant phase pattern (-1)^{mn} i^{m+n}", retained, 1e-10))
 
 
 def check_q6_cycle() -> CheckResult:
-    t0 = time.perf_counter()
     eta_sq = 2 * math.pi / math.sqrt(3)
     params = model.SystemParams(r=1, q=6, kappa=-0.18 * math.sqrt(2) * eta_sq,
                                 eta_sq=eta_sq)  # zeta = 0.18
     kick3 = lattice.steps(lattice.from_params(0.0, params), 3)
     worst = lattice.max_difference(lattice.steps(kick3, 3), lattice.analytic_q6_cycle(kick3))
-    return _check("q=6 three-step cycle vs stepped mapping", worst, 1e-10, t0)
+    return _check("q=6 three-step cycle vs stepped mapping", worst, 1e-10)
 
 
 def cross_representation_fidelity(params: model.SystemParams,
@@ -179,20 +179,17 @@ def cross_representation_fidelity(params: model.SystemParams,
 
 def _q4_fidelity_case() -> CheckResult:
     """The quick suite's one cross-representation case: Q4 at D=512."""
-    t0 = time.perf_counter()
     fid = cross_representation_fidelity(Q4, lattice.steps(lattice.from_params(0.0, Q4), 12), 512)
-    return _check("fock/lattice fidelity q=4 N=12 (D=512)", fid, 0.999,
-                  t0, larger_is_better=True)
+    return _check("fock/lattice fidelity q=4 N=12 (D=512)", fid, 0.999, larger_is_better=True)
 
 
 def _cross_representation_case(tag: str, params: model.SystemParams) -> CheckResult:
-    t0 = time.perf_counter()
     # the lattice state does not depend on D: one evolution per case
     state = lattice.steps(lattice.from_params(0.0, params), 12)
     res = fock.doubling_rule(lambda d: cross_representation_fidelity(params, state, d))
     return _check(
         f"fock/lattice fidelity q={params.q} eta2={tag} N=12 (D={res.dim})",
-        res.value, 0.999, t0, larger_is_better=True,
+        res.value, 0.999, larger_is_better=True,
         note="" if res.converged else "doubling rule not converged")
 
 
@@ -200,19 +197,13 @@ def check_cross_representation() -> list[CheckResult]:
     return [_cross_representation_case(tag, params) for tag, params in CRYSTAL_CASES]
 
 
-def _principal(q: int) -> model.SystemParams:
-    """The system of the amplified-kick checks: q at its principal resonance."""
-    return model.SystemParams(r=1, q=q, kappa=-0.8, eta_sq=model.resonant_values(q).principal)
-
-
 def _amplified_case(params: model.SystemParams, v: int, dim: int) -> CheckResult:
-    t0 = time.perf_counter()
     fqv = fock.floquet_power(params, dim, params.q * v)
     amp = fock.amplified_kick_operator(params, dim, v)
     block = fock.interior_block(dim)
     return _check(
         f"amplified kick q={params.q} v={v} vs F^(qv) (D={dim}, block={block})",
-        fock.mismatch_up_to_phase(amp, fqv, block), 1e-7, t0)
+        fock.mismatch_up_to_phase(amp, fqv, block), 1e-7)
 
 
 def check_amplified() -> list[CheckResult]:
@@ -220,10 +211,9 @@ def check_amplified() -> list[CheckResult]:
 
 
 def _commutator_case(tag: str, params: model.SystemParams, dim: int) -> CheckResult:
-    t0 = time.perf_counter()
     gens = model.symmetry_generators(params.q, params.eta, "gamma")
     worst = fock.symmetry_commutator_norm(params, dim, *gens)
-    return _check(f"[F^q, D(gamma)] q={params.q} eta2={tag} (D={dim})", worst, 1e-6, t0)
+    return _check(f"[F^q, D(gamma)] q={params.q} eta2={tag} (D={dim})", worst, 1e-6)
 
 
 def check_commutators() -> list[CheckResult]:
@@ -231,14 +221,13 @@ def check_commutators() -> list[CheckResult]:
 
 
 def check_state_roundtrip() -> CheckResult:
-    t0 = time.perf_counter()
-    params = model.SystemParams(r=1, q=4, kappa=-0.8, eta_sq=GOLDEN * math.pi)
+    params = replace(Q4, eta_sq=GOLDEN * math.pi)
     state = lattice.steps(lattice.from_params(0.25 + 0.1j, params), 3)
     back = lattice.from_json(lattice.to_json(state))
     # equal coefficients do not make up for a lost center, j or system
     same = (back.alpha, back.j, back.params) == (state.alpha, state.j, state.params)
     worst = lattice.max_difference(state, back) if same else math.inf
-    return _check("lattice state JSON roundtrip", worst, 0.0, t0)
+    return _check("lattice state JSON roundtrip", worst, 0.0)
 
 
 def _schedule(level: str) -> list[tuple[float | None, Callable]]:
@@ -284,5 +273,10 @@ def run(level: str = "quick") -> list[CheckResult]:
         with fock.shared_quadratures():
             for i, (key, check) in enumerate(schedule):
                 if key == eta_sq:
-                    results[i] = check()
-    return [r for res in results for r in (res if isinstance(res, tuple) else (res,))]
+                    t0 = time.perf_counter()
+                    res = check()
+                    seconds = time.perf_counter() - t0
+                    results[i] = res if isinstance(res, tuple) else (res,)
+                    for r in results[i]:
+                        r.seconds = seconds
+    return [r for res in results for r in res]

@@ -458,6 +458,7 @@ class TestVerify:
         checks = verify.run(level)
         assert len(eigh_calls) == calls
         assert fock._SHARED_QUADRATURES.get() is None
+        assert all(c.seconds > 0 for c in checks)  # run() times each check
         if level == "quick":
             return
         alone = [verify.check_resonant_table(), verify.check_graf_closure(),
@@ -466,6 +467,7 @@ class TestVerify:
                  verify.check_q6_cycle(), *verify.check_cross_representation(),
                  *verify.check_amplified(), *verify.check_commutators()]
         assert len(eigh_calls) > 2 * calls  # the checks alone share nothing
+        assert {c.seconds for c in alone} == {0.0}  # timed by run() only
         assert [(c.name, c.measured) for c in checks] == [(c.name, c.measured) for c in alone]
 
     @pytest.mark.parametrize("level", ["quick", "full"])

@@ -416,15 +416,15 @@ class TestQuasienergy:
         assert math.fsum(overlaps) == pytest.approx(1.0, abs=1e-12)
 
     def test_failed_factorization_turns_shift(self, monkeypatch):
-        factored, cho_factor = [], _lapack.cho_factor
+        factored, solve_spd = [], _lapack.solve_spd
 
-        def first_fails(a):
+        def first_fails(a, b):
             factored.append(a - np.eye(len(a)))  # C = Re G
             if len(factored) == 1:
                 raise np.linalg.LinAlgError("leading minor not positive definite")
-            return cho_factor(a)
+            return solve_spd(a, b)
 
-        monkeypatch.setattr(_lapack, "cho_factor", first_fails)
+        monkeypatch.setattr(_lapack, "solve_spd", first_fails)
         p = params_q4()
         res = fock.quasienergy_spectrum(p, 64)
         # the even block fails first; its eigenvalue on -1 is turned to +1

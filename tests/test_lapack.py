@@ -1,11 +1,11 @@
 """kho._lapack against scipy.linalg: the same bits, the same errors, and
 the routines bound where they should be.
 
-`fock` calls LAPACK through kho._lapack, which binds dstevd, dpotrf, dpotrs
-and dsyevr in numpy's bundled OpenBLAS through ctypes, or takes scipy.linalg's
-routines where numpy bundles none.  Each of its four functions must return
-bitwise what the scipy.linalg function `fock` used to call returns with the
-keywords it passed, which SCIPY spells out.
+`fock` calls LAPACK through kho._lapack, which binds dstevd, dposv and dsyevr
+in numpy's bundled OpenBLAS through ctypes, or takes scipy.linalg's routines
+where numpy bundles none.  Each of its three functions must return bitwise
+what the scipy.linalg calls `fock` used to make return with the keywords it
+passed, which SCIPY spells out.
 """
 
 import ctypes
@@ -21,9 +21,8 @@ from kho.model import SystemParams
 #: each kho._lapack function as the scipy.linalg call it stands for
 SCIPY = {
     "eigh_tridiagonal": lambda d, e: scipy.linalg.eigh_tridiagonal(d, e),
-    "cho_factor": lambda a: scipy.linalg.cho_factor(a, overwrite_a=True,
-                                                    check_finite=False)[0],
-    "cho_solve": lambda c, b: scipy.linalg.cho_solve((c, False), b, check_finite=False),
+    "solve_spd": lambda a, b: scipy.linalg.cho_solve(
+        scipy.linalg.cho_factor(a, overwrite_a=True, check_finite=False), b, check_finite=False),
     "eigh": lambda a: scipy.linalg.eigh(a, overwrite_a=True, check_finite=False),
 }
 
@@ -50,19 +49,28 @@ def same_bits(a, b):
     return a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
 
 
+#: the eta^2 verify and the benchmark workloads run: pi, phi pi and 2 pi / sqrt 3
+ETA_SQ = (math.pi, (1 + math.sqrt(5)) / 2 * math.pi, 2 * math.pi / math.sqrt(3))
+
+
 def quadrature(dim, eta_sq=math.pi):
     return np.zeros(dim), math.sqrt(eta_sq) * np.sqrt(np.arange(1, dim))
 
 
+def cayley_operands(dim, eta_sq=math.pi, parity=0):
+    """(I + C, D) of a parity block of G = e^{i shift} S under
+    quasienergy_spectrum's first shift: the operands of its Cayley solve."""
+    p = SystemParams(r=1, q=4, kappa=-0.8, eta_sq=eta_sq)
+    shift = p.tau / 2.0 + math.pi + math.pi / p.q
+    half = np.exp(0.5j * (shift - (np.arange(parity, dim, 2) + 0.5) * p.tau))
+    gmat = fock.kick_blocks(p, dim, parities=(parity,))[0] * np.outer(half, half)
+    return np.eye(len(gmat)) + gmat.real, gmat.imag
+
+
 @pytest.fixture(scope="module")
 def cayley():
-    """(I + C, D) of the even block of G = e^{i shift} S at D = 500, under
-    quasienergy_spectrum's first shift: its Cholesky and solve operands."""
-    p = SystemParams(r=1, q=4, kappa=-0.8, eta_sq=math.pi)
-    shift = p.tau / 2.0 + math.pi + math.pi / p.q
-    half = np.exp(0.5j * (shift - (np.arange(0, 500, 2) + 0.5) * p.tau))
-    gmat = fock.kick_blocks(p, 500, parities=(0,))[0] * np.outer(half, half)
-    return np.eye(250) + gmat.real, gmat.imag
+    """The Cayley operands of the even block at D = 500 and eta^2 = pi."""
+    return cayley_operands(500)
 
 
 def test_the_routines_resolve_in_numpys_openblas(numpy_openblas):
@@ -73,9 +81,8 @@ def test_the_routines_resolve_in_numpys_openblas(numpy_openblas):
     def address(f):
         return ctypes.cast(f, ctypes.c_void_p).value
 
-    for kernel, name in [(_lapack._stevd, "stevd"), (_lapack._potrf, "potrf"),
-                         (_lapack._potrs, "potrs"), (_lapack._syevr_lwork, "syevr"),
-                         (_lapack._syevr, "syevr")]:
+    for kernel, name in [(_lapack._stevd, "stevd"), (_lapack._posv, "posv"),
+                         (_lapack._syevr_lwork, "syevr"), (_lapack._syevr, "syevr")]:
         symbol = next(getattr(lib, s) for s in (f"scipy_d{name}_64_", f"d{name}_64_")
                       if hasattr(lib, s))
         assert address(kernel.args[0]) == address(symbol)
@@ -85,24 +92,29 @@ def test_the_routines_resolve_in_numpys_openblas(numpy_openblas):
 def test_eigh_tridiagonal_is_scipys_bitwise(dim):
     """At the sizes and eta^2 (pi, phi pi, 2 pi / sqrt 3) verify and the
     benchmark workloads run."""
-    for eta_sq in (math.pi, (1 + math.sqrt(5)) / 2 * math.pi, 2 * math.pi / math.sqrt(3)):
+    for eta_sq in ETA_SQ:
         d, e = quadrature(dim, eta_sq)
         ours, theirs = _lapack.eigh_tridiagonal(d, e), SCIPY["eigh_tridiagonal"](d, e)
         assert all(same_bits(a, b) for a, b in zip(ours, theirs)), eta_sq
 
 
-def test_cholesky_is_scipys_bitwise(cayley):
-    a, b = cayley
-    c = _lapack.cho_factor(a.copy())
-    assert same_bits(c, SCIPY["cho_factor"](a.copy()))
-    b_before = b.copy()
-    assert same_bits(_lapack.cho_solve(c, b), SCIPY["cho_solve"](c, b))
-    assert same_bits(b, b_before)
+def test_cholesky_is_scipys_bitwise():
+    """solve_spd keeps b, at the Cayley operands of both parity blocks for
+    the eta^2 of ETA_SQ and D = 64, 500 and 1000."""
+    for dim in (64, 500, 1000):
+        for eta_sq in ETA_SQ:
+            for parity in (0, 1):
+                a, b = cayley_operands(dim, eta_sq, parity)
+                b = np.asfortranarray(b)  # storage that dposv could solve in
+                b_before = b.copy()
+                ours = _lapack.solve_spd(a.copy(), b)
+                assert same_bits(b, b_before)
+                assert same_bits(ours, SCIPY["solve_spd"](a.copy(), b)), (dim, eta_sq, parity)
 
 
 def test_eigh_is_scipys_bitwise(cayley):
     a, b = cayley
-    h = _lapack.cho_solve(_lapack.cho_factor(a.copy()), b)
+    h = _lapack.solve_spd(a.copy(), b)
     h += h.T
     ours, theirs = _lapack.eigh(h.copy()), SCIPY["eigh"](h.copy())
     assert all(same_bits(x, y) for x, y in zip(ours, theirs))
@@ -121,21 +133,41 @@ def test_indefinite_matrix_is_lin_alg_error():
     assert issubclass(np.linalg.LinAlgError, ValueError)
     a = np.diag([2.0, 1.0, -1.0, 3.0])
     with pytest.raises(np.linalg.LinAlgError):
-        _lapack.cho_factor(a)
+        _lapack.solve_spd(a, np.eye(4))
+
+
+def test_syevr_workspace_is_queried_once_per_size(tmp_path, monkeypatch):
+    """The default 161-point spectrum at D = 10 diagonalizes two 5 x 5
+    blocks per point and asks syevr for its workspace once."""
+    queries, solves = [], []
+    query, syevr = _lapack._syevr_lwork, _lapack._syevr
+    monkeypatch.setattr(_lapack, "_syevr_lwork", lambda n: queries.append(n) or query(n))
+    monkeypatch.setattr(_lapack, "_syevr", lambda a, **kw: solves.append(a.shape) or syevr(a, **kw))
+    _lapack._workspace.cache_clear()
+    argv = ["spectrum", "--dim", "10", "--out", str(tmp_path / "spectrum.csv")]
+    assert cli.main(argv) == cli.EXIT_OK
+    assert len(solves) >= 2 * 161 and set(solves) == {(5, 5)}
+    assert queries == [5]
 
 
 def test_without_numpys_openblas_falls_back_to_scipy_linalg(tmp_path, monkeypatch):
     """Pointed at a directory without the library, the loader takes
     scipy.linalg's own routines, and the four subcommands write the bytes
-    of the primary path through them."""
+    of the primary path through them, each side with its own syevr
+    workspace queries."""
     routines = _lapack._routines([tmp_path])
-    theirs = scipy.linalg.get_lapack_funcs(("stevd", "potrf", "potrs", "syevr_lwork", "syevr"),
+    theirs = scipy.linalg.get_lapack_funcs(("stevd", "posv", "syevr_lwork", "syevr"),
                                            dtype=np.float64)
     assert all(r.func is f for r, f in zip(routines, theirs))
+    _lapack._workspace.cache_clear()
     shipped = cli_outputs(tmp_path / "shipped")
-    for name, routine in zip(("_stevd", "_potrf", "_potrs", "_syevr_lwork", "_syevr"), routines):
+    for name, routine in zip(("_stevd", "_posv", "_syevr_lwork", "_syevr"), routines):
         monkeypatch.setattr(_lapack, name, routine)
-    assert cli_outputs(tmp_path / "fallback") == shipped
+    _lapack._workspace.cache_clear()
+    try:
+        assert cli_outputs(tmp_path / "fallback") == shipped
+    finally:
+        _lapack._workspace.cache_clear()  # no later test runs on scipy's answers
 
 
 def test_cli_bytes_equal_those_through_scipy_linalg(tmp_path, monkeypatch):
