@@ -226,29 +226,41 @@ def cmd_qfunc(args) -> int:
                  for (kicks, path), result in zip(group, results)]
     # one coherent-amplitude walk for every panel
     grids = fock.q_functions([result.state for *_, result in runs], args.window, args.res)
+    made = []  # the directories this run creates, deepest first
     if args.eta2 is None:  # a run that fails before this point leaves no directory
+        parent = os.path.abspath(out)
+        while not os.path.isdir(parent):
+            made, parent = made + [parent], os.path.dirname(parent)
         os.makedirs(out, exist_ok=True)
-    status = EXIT_OK
-    for (eta2, params, kicks, path, result), grid in zip(runs, grids):
-        cfg = _config_echo(args, ["q", "r", "kappa", "dim", "alpha"])
-        cfg.update(eta2=eta2, kicks=kicks)
-        cfg["eta2_value"] = output.fmt(params.eta_sq)
-        riemann_sum = grid.riemann_sum()
-        extra = [f"riemann_sum={output.fmt(riemann_sum)}"]
-        if result.truncation_unsafe:
-            extra.append(f"warning: truncation-unsafe from kick {result.first_unsafe_kick}")
-            print(f"kho qfunc: truncation-unsafe from kick {result.first_unsafe_kick} "
-                  f"for {path}", file=sys.stderr)
-            status = EXIT_TRUNCATION
-        if riemann_sum < 0.99:
-            extra.append("warning: window too small, probability mass outside grid")
-            print(f"kho qfunc: window misses probability mass "
-                  f"(sum={riemann_sum:.3f}) for {path}", file=sys.stderr)
-        elif riemann_sum > 1.01:
-            extra.append("warning: grid coarser than Q, Riemann sum overestimates the mass")
-            print(f"kho qfunc: grid too coarse to resolve Q "
-                  f"(sum={riemann_sum:.3g}) for {path}", file=sys.stderr)
-        output.write_qgrid(path, cfg, grid, extra)
+    status, written = EXIT_OK, []
+    try:
+        for (eta2, params, kicks, path, result), grid in zip(runs, grids):
+            cfg = _config_echo(args, ["q", "r", "kappa", "dim", "alpha"])
+            cfg.update(eta2=eta2, kicks=kicks)
+            cfg["eta2_value"] = output.fmt(params.eta_sq)
+            riemann_sum = grid.riemann_sum()
+            extra = [f"riemann_sum={output.fmt(riemann_sum)}"]
+            if result.truncation_unsafe:
+                extra.append(f"warning: truncation-unsafe from kick {result.first_unsafe_kick}")
+                print(f"kho qfunc: truncation-unsafe from kick {result.first_unsafe_kick} "
+                      f"for {path}", file=sys.stderr)
+                status = EXIT_TRUNCATION
+            if riemann_sum < 0.99:
+                extra.append("warning: window too small, probability mass outside grid")
+                print(f"kho qfunc: window misses probability mass "
+                      f"(sum={riemann_sum:.3f}) for {path}", file=sys.stderr)
+            elif riemann_sum > 1.01:
+                extra.append("warning: grid coarser than Q, Riemann sum overestimates the mass")
+                print(f"kho qfunc: grid too coarse to resolve Q "
+                      f"(sum={riemann_sum:.3g}) for {path}", file=sys.stderr)
+            output.write_qgrid(path, cfg, grid, extra)
+            written.append(path)
+    except OSError:  # nor does one that fails writing its panels
+        for path in written:
+            os.remove(path)
+        for directory in made:
+            os.rmdir(directory)
+        raise
     return status
 
 

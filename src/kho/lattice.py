@@ -16,17 +16,15 @@ so each source column n0 is convolved with these weights into row -n0.
 
 A LatticeState carries its system as a model.SystemParams.  The derivation
 fixes r = 1 and needs a crystal kick-axis set, q in {3, 4, 6}; the state
-refuses anything else, so every state `step` sees, one read by `from_json`
-included, is valid.  At quantum resonance the phase factors collapse to
-signs and the evolution reduces to cyclically growing Bessel arguments
-(analytic_q4 for q = 4; a three-step cycle evaluated by analytic_q6_cycle
-for q = 6, which asks model.classify whether eta^2 is an odd multiple of
-the principal resonance).
+refuses anything else, so every state `step` sees is valid.  At quantum
+resonance the phase factors collapse to signs and the evolution reduces to
+cyclically growing Bessel arguments (analytic_q4 for q = 4; a three-step
+cycle evaluated by analytic_q6_cycle for q = 6, which asks model.classify
+whether eta^2 is an odd multiple of the principal resonance).
 """
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass
 
@@ -243,36 +241,3 @@ def to_fock(state: LatticeState, dim: int) -> ConversionResult:
         raise ValueError(f"the first {dim} number states hold none of the lattice state")
     return ConversionResult(state=FockVector(psi / raw_norm), raw_norm=raw_norm)
 
-
-# ---------------------------------------------------------------------------
-# serialization
-
-
-def to_json(state: LatticeState) -> str:
-    params = state.params
-    ms, ns, vals = _entries(state)
-    payload = {
-        "alpha_re": state.alpha.real,
-        "alpha_im": state.alpha.imag,
-        "j": state.j,
-        "r": params.r,
-        "q": params.q,
-        "kappa": params.kappa,
-        "eta_sq": params.eta_sq,
-        "coeffs": list(zip(ms.tolist(), ns.tolist(), vals.real.tolist(), vals.imag.tolist())),
-    }
-    return json.dumps(payload)
-
-
-def from_json(text: str) -> LatticeState:
-    """Inverse of to_json; ValueError for a system the lattice route cannot take."""
-    d = json.loads(text)
-    params = SystemParams(r=int(d["r"]), q=int(d["q"]), kappa=float(d["kappa"]),
-                          eta_sq=float(d["eta_sq"]))
-    triples = d["coeffs"]
-    idx = np.array([t[:2] for t in triples], dtype=int).reshape(-1, 2)
-    lo, hi = (idx.min(axis=0), idx.max(axis=0)) if triples else ((0, 0), (-1, -1))
-    coeffs = np.zeros(np.subtract(hi, lo) + 1, complex)
-    coeffs[tuple((idx - lo).T)] = [complex(re, im) for _, _, re, im in triples]
-    return LatticeState(alpha=complex(d["alpha_re"], d["alpha_im"]), j=int(d["j"]),
-                        params=params, coeffs=coeffs, origin=lo)

@@ -75,7 +75,7 @@ def coeff_dict(state: LatticeState) -> dict:
             if state.coeffs[a, b] != 0}
 
 
-def dict_state(params, coeffs: dict, alpha: complex = 0.0, j: int = 0) -> LatticeState:
+def dict_state(params, coeffs: dict, alpha: complex = 0.0) -> LatticeState:
     """The lattice state with the coefficients {(m, n): M_{m,n}}, placed on
     their bounding box (the origin box when there are none)."""
     ms = [m for m, _ in coeffs] or [0]
@@ -83,13 +83,7 @@ def dict_state(params, coeffs: dict, alpha: complex = 0.0, j: int = 0) -> Lattic
     arr = np.zeros((max(ms) - min(ms) + 1, max(ns) - min(ns) + 1), dtype=complex)
     for (m, n), v in coeffs.items():
         arr[m - min(ms), n - min(ns)] = v
-    return LatticeState(alpha=alpha, j=j, params=params, coeffs=arr, origin=(min(ms), min(ns)))
-
-
-def same_state(a: LatticeState, b: LatticeState) -> bool:
-    """Equal center, kick count, system, origin and coefficient array."""
-    return ((a.alpha, a.j, a.params, a.origin) == (b.alpha, b.j, b.params, b.origin)
-            and a.coeffs.shape == b.coeffs.shape and bool(np.all(a.coeffs == b.coeffs)))
+    return LatticeState(alpha=alpha, j=0, params=params, coeffs=arr, origin=(min(ms), min(ns)))
 
 
 def gather_step(state: LatticeState, span: int) -> dict:

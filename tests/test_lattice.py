@@ -1,5 +1,4 @@
 import cmath
-import json
 import math
 
 import numpy as np
@@ -8,7 +7,7 @@ import pytest
 from kho import fock, lattice, model, specfun
 from kho.model import SystemParams
 
-from oracles import bessel_series, coeff_dict, dict_state, gather_step, same_state
+from oracles import bessel_series, coeff_dict, dict_state, gather_step
 
 PHI = model.GOLDEN_RATIO
 
@@ -397,42 +396,3 @@ class TestToFock:
         ls = lattice.steps(lattice.from_params(alpha, p), 6)
         conv = lattice.to_fock(ls, dim)
         assert fock.fidelity(ev.state, conv.state) > 0.999
-
-
-class TestSerialization:
-    def test_roundtrip(self):
-        p = params_q4(eta_sq=PHI * math.pi)
-        st = lattice.steps(lattice.from_params(0.3 - 0.2j, p), 3)
-        back = lattice.from_json(lattice.to_json(st))
-        assert same_state(back, st)
-
-    def test_schema_fields(self):
-        st = lattice.from_params(0.25, params_q4())
-        d = json.loads(lattice.to_json(st))
-        assert set(d) == {"alpha_re", "alpha_im", "j", "r", "q", "kappa", "eta_sq", "coeffs"}
-        assert (d["r"], d["q"], d["kappa"], d["eta_sq"]) == (1, 4, -0.8, math.pi)
-        assert d["coeffs"] == [[0, 0, 1.0, 0.0]]
-        # a hand-built state, negative m and n included: the schema and the
-        # sorted (m, n) order of the coefficient list, as text
-        st = dict_state(SystemParams(r=1, q=3, kappa=-0.5, eta_sq=2.5),
-                        {(2, -3): 0.5 - 0.25j, (-1, 4): -1.5 + 0j, (-1, -2): 0.125j,
-                         (0, 0): 1e-3 + 2j, (2, 5): -0.75 - 0.0625j}, alpha=0.25 - 0.5j, j=7)
-        assert lattice.to_json(st) == (
-            '{"alpha_re": 0.25, "alpha_im": -0.5, "j": 7, "r": 1, "q": 3, "kappa": -0.5, '
-            '"eta_sq": 2.5, "coeffs": [[-1, -2, 0.0, 0.125], [-1, 4, -1.5, 0.0], '
-            '[0, 0, 0.001, 2.0], [2, -3, 0.5, -0.25], [2, 5, -0.75, -0.0625]]}')
-
-    @pytest.mark.parametrize("field,value,match", [
-        ("q", 5, "q in"),
-        ("r", 2, "r = 1"),  # gcd(2, 3) = 1: only the lattice state refuses it
-        ("eta_sq", float("nan"), "eta_sq"),
-        ("eta_sq", float("inf"), "eta_sq"),
-    ])
-    def test_from_json_refuses_system(self, field, value, match):
-        p = params_for_zeta(3, model.resonant_values(3).principal, 0.18)
-        st = lattice.steps(lattice.from_params(0.2j, p), 2)
-        d = json.loads(lattice.to_json(st))
-        assert same_state(lattice.from_json(json.dumps(d)), st)
-        d[field] = value
-        with pytest.raises(ValueError, match=match):
-            lattice.from_json(json.dumps(d))

@@ -5,7 +5,6 @@ import pytest
 
 from kho import model
 from kho.model import (
-    PhysicalParams,
     ResonanceKind,
     SystemParams,
     classify,
@@ -18,60 +17,6 @@ from kho.model import (
 from oracles import commutation_phase
 
 PHI = model.GOLDEN_RATIO
-
-
-def _phys(mass=2.2e-25, omega=2 * math.pi * 50.0, K=None, Omega=2 * math.pi * 1e6,
-          t_p=1e-6, Delta=-2 * math.pi * 1e9, T=None):
-    if K is None:
-        K = math.sqrt(2 * mass * omega * math.pi / model.HBAR)  # eta^2 = pi
-    if T is None:
-        T = math.pi / (2 * omega)  # tau = pi/2 -> (r, q) = (1, 4)
-    return PhysicalParams(mass=mass, trap_frequency=omega, wavevector=K,
-                          rabi_frequency=Omega, pulse_duration=t_p,
-                          detuning=Delta, kick_period=T)
-
-
-class TestReduce:
-    def test_hbar_is_scipys_bitwise(self):
-        from scipy.constants import hbar
-        assert model.HBAR == hbar
-
-    def test_quarter_period_gives_q4(self):
-        sp = model.reduce(_phys())
-        assert (sp.r, sp.q) == (1, 4)
-        assert sp.tau == pytest.approx(math.pi / 2, rel=1e-15)
-
-    def test_eta_sq_and_zeta_from_engineered_kappa(self):
-        p = _phys()
-        sp = model.reduce(p)
-        assert sp.eta_sq == pytest.approx(math.pi, rel=1e-12)
-        # rescale the detuning so kappa = -0.8 exactly, then zeta = 0.8/(sqrt(2) pi)
-        scale = sp.kappa / -0.8
-        sp2 = model.reduce(_phys(Delta=p.detuning * scale))
-        assert sp2.kappa == pytest.approx(-0.8, rel=1e-12)
-        assert sp2.zeta == pytest.approx(0.8 / (math.sqrt(2) * math.pi), rel=1e-12)
-        assert sp2.zeta == pytest.approx(0.180, abs=5e-4)
-
-    def test_doubling_wavevector_quadruples_eta_sq(self):
-        p = _phys()
-        sp = model.reduce(p)
-        sp2 = model.reduce(_phys(K=2 * p.wavevector))
-        assert sp2.eta_sq == pytest.approx(4 * sp.eta_sq, rel=1e-12)
-
-    def test_irrational_period_rejected(self):
-        with pytest.raises(model.NoRationalPeriodError):
-            model.reduce(_phys(T=PHI))
-
-    def test_supplied_rq_checked_against_period(self):
-        assert model.reduce(_phys(), r=1, q=4).q == 4
-        with pytest.raises(model.NoRationalPeriodError):
-            model.reduce(_phys(), r=1, q=3)
-
-    def test_physical_validation(self):
-        with pytest.raises(ValueError):
-            _phys(mass=-1.0)
-        with pytest.raises(ValueError):
-            _phys(Delta=0.0)
 
 
 class TestSystemParams:
