@@ -237,10 +237,21 @@ def floquet(params: SystemParams, dim: int,
 
 
 def floquet_power(params: SystemParams, dim: int, p: int) -> tuple[np.ndarray, ...]:
-    """Parity blocks of F^p, by repeated multiplication of each block."""
+    """Parity blocks of F^p.  Each block f is powered over the bits of p
+    after the leading one: square, then multiply by f from the left where
+    the bit is set.  Only f, one partial product and the next are alive,
+    and each block of F is dropped once its power is formed."""
     if p < 0:
         raise ValueError("p must be nonnegative")
-    return tuple(np.linalg.matrix_power(block, p) for block in floquet(params, dim))
+    blocks, powers = list(floquet(params, dim)), []
+    while blocks:
+        f = out = blocks.pop(0)
+        for bit in f"{p:b}"[1:]:
+            out = out @ out
+            if bit == "1":
+                out = f @ out
+        powers.append(out if p else np.eye(len(f), dtype=complex))
+    return tuple(powers)
 
 
 def kick_axis_product(params: SystemParams, dim: int, v: int = 1) -> tuple[np.ndarray, ...]:

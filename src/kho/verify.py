@@ -253,7 +253,6 @@ def run(level: str = "quick") -> list[CheckResult]:
     schedule's order, each timed on its own."""
     if level not in ("quick", "full"):
         raise ValueError("level must be 'quick' or 'full'")
-    specfun.ufuncs()  # loaded before the first timer starts, so no check's time holds it
     schedule = _schedule(level)
     results = [None] * len(schedule)
     for eta_sq in dict.fromkeys(key for key, _ in schedule):

@@ -2,12 +2,13 @@
 
 These deliberately avoid the library's computation paths: Bessel values come
 from the ascending power series or from mpmath at 40 digits (the
-implementation tabulates scipy.special.jv), displacement matrix elements
-from the associated-Laguerre closed form in mpmath (the implementation runs
-the Laguerre recurrence in double precision, vectorized over offsets), the
-lattice one-kick map is evaluated in gather form directly off the
-recurrence definition, on a dict of coefficients (the implementation
-convolves the columns of a dense array), kicks come
+implementation runs Miller's backward recurrence in double precision),
+displacement matrix elements and log-factorials from the
+associated-Laguerre closed form and loggamma in mpmath (the implementation
+runs the Laguerre recurrence in double precision, vectorized over offsets,
+on math.lgamma), the lattice one-kick map is evaluated in gather form
+directly off the recurrence definition, on a dict of coefficients (the
+implementation convolves the columns of a dense array), kicks come
 from a dense complex eigensolve of the full rotated quadrature (the
 implementation builds parity blocks from one real tridiagonal eigensolve and
 turns axes by similarity), propagation applies the dense D x D Floquet
@@ -189,6 +190,12 @@ def bessel_mp(n: int, x: float) -> float:
     """J_n(x) in 40-digit arithmetic."""
     with mpmath.workdps(40):
         return float(mpmath.besselj(n, x))
+
+
+def log_factorial_mp(n: int) -> mpmath.mpf:
+    """log n! in 40-digit arithmetic."""
+    with mpmath.workdps(40):
+        return mpmath.loggamma(n + 1)
 
 
 def displacement_mp(m: int, n: int, alpha: complex) -> complex:

@@ -319,16 +319,19 @@ class TestColdStart:
 
     def test_numeric_commands_load_no_scipy_module(self, tmp_path, numpy_openblas):
         """evolve, qfunc, spectrum and energy-scan call LAPACK in numpy's own
-        OpenBLAS, so no module of the scipy package loads."""
+        OpenBLAS, and verify computes its Bessel tables and log-factorials in
+        kho.specfun, so no module of the scipy package loads."""
         runs = [["spectrum", "--dim", "8", "--scan-points", "2"],
                 ["energy-scan", "--dim", "16", "--scan-points", "2", "--kicks", "3"],
                 ["evolve", "--dim", "16", "--alpha=0.3-0.2j", "--kicks", "2"],
                 ["qfunc", "--eta2", "pi", "--dim", "16", "--kicks", "2", "--res", "5"]]
         argvs = [argv + ["--out", str(tmp_path / str(i))] for i, argv in enumerate(runs)]
+        argvs.append(["verify", "--verify-level", "quick"])
         script = (
-            "import sys\n"
+            "import contextlib, io, sys\n"
             "from kho.cli import main\n"
-            f"assert all(main(argv) in (0, 2) for argv in {argvs!r})\n"
+            "with contextlib.redirect_stdout(io.StringIO()):\n"
+            f"    assert all(main(argv) in (0, 2) for argv in {argvs!r})\n"
             "print(sorted(m for m in sys.modules if m.partition('.')[0] == 'scipy'))\n")
         done = run_fresh(script)
         assert done.returncode == 0, done.stderr

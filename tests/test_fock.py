@@ -557,20 +557,22 @@ class TestCommutatorMemory:
     """symmetry_commutator_norm builds only the dim x b column strip of D(gen)
     (16 b/dim D^2 bytes, 6.7 D^2 at D=512) and forms the interior commutator
     by parity sub-block, so within a shared_quadratures() block that holds
-    the quadrature its peak is the F^q build's, about 20 D^2; with the full
-    D and the b x b commutator it was 29.5 D^2."""
+    the quadrature its peak is the F^q build's, about 18 D^2 at every q:
+    floquet_power holds one block of F, one partial product and the next.
+    With the full D and the b x b commutator it was 29.5 D^2, and with
+    numpy's matrix_power 20 D^2 at q = 4 and 24 D^2 at q = 6."""
 
     DIM = 512
 
-    @pytest.mark.parametrize("case", [c for c in verify.CRYSTAL_CASES if c[1].q == 4],
-                             ids=lambda c: f"q4-{c[0]}")
+    @pytest.mark.parametrize("case", [c for c in verify.CRYSTAL_CASES if c[1].q in (4, 6)],
+                             ids=lambda c: f"q{c[1].q}-{c[0]}")
     def test_commutator_peak_bytes(self, traced_peak, case):
         p = case[1]
         gens = model.symmetry_generators(p.q, p.eta, "gamma")
         with fock.shared_quadratures():
             fock.symmetry_commutator_norm(p, self.DIM, *gens)  # caches the quadrature
             peak = traced_peak(lambda: fock.symmetry_commutator_norm(p, self.DIM, *gens))
-        assert peak < 21 * self.DIM ** 2
+        assert peak < 19 * self.DIM ** 2
 
     def test_strip_peak_bytes(self, traced_peak):
         gen = model.symmetry_generators(4, verify.Q4.eta, "gamma")[0]

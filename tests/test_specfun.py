@@ -6,7 +6,7 @@ import pytest
 from kho import model, specfun
 
 from oracles import (bessel_mp, bessel_series, coherent_mp, displacement_mp,
-                     graf_sum_series)
+                     graf_sum_series, log_factorial_mp)
 
 
 def test_bessel_trivial_values():
@@ -60,6 +60,25 @@ def test_bessel_rejects_nonfinite():
         specfun.bessel_j(1, float("nan"))
     with pytest.raises(ValueError):
         specfun.bessel_j(0, float("inf"))
+    with pytest.raises(ValueError):  # a table would hold millions of orders
+        specfun.bessel_j(0, 2e6)
+
+
+def test_bessel_at_zero_is_kronecker_delta():
+    for x in (0.0, -0.0):
+        got = specfun.bessel_range(x, -6, 6)
+        assert np.array_equal(got, np.arange(-6, 7) == 0), x
+
+
+@pytest.mark.parametrize("x", [0.18, -3.1, 12.0, 60.0])
+def test_bessel_range_is_a_bitwise_prefix_of_a_longer_one(x):
+    """A table's values depend on its argument alone, never on how many
+    orders a caller asks for; past its last order every value reads 0."""
+    longest = specfun.bessel_range(x, 0, 500)
+    assert longest[-1] == 0.0
+    for k in (0, 1, 7, 40, int(abs(x)) + 60, 499):
+        specfun._cached_table.cache_clear()
+        assert np.array_equal(specfun.bessel_range(x, 0, k), longest[:k + 1]), k
 
 
 @pytest.mark.parametrize("tol", [1e-14, 1e-15])
@@ -179,6 +198,14 @@ def test_displacement_large_order_stability():
     assert np.abs(mat).max() <= 1.0
     for m, n in ((2000, 1980), (1980, 2000), (1030, 1000), (700, 1500)):
         assert abs(mat[m, n] - displacement_mp(m, n, a)) < 1e-13
+
+
+def test_log_factorials_against_mpmath():
+    # displacement_matrix's factorial ratios; measured 3.2 ulps at worst
+    got = specfun._log_factorials(2049)
+    for n, lg in enumerate(got.tolist()):
+        want = log_factorial_mp(n)
+        assert abs(lg - want) <= 4 * math.ulp(float(want)), n
 
 
 def test_displacement_matrix_strip_equals_full_columns_bitwise():
