@@ -15,7 +15,7 @@ import json
 import math
 import os
 import sys
-from dataclasses import replace
+from dataclasses import asdict, replace
 
 # numpy and the numeric modules are imported by the handlers that run them:
 # `resonances`, `--help` and a usage error load none of them
@@ -346,8 +346,7 @@ def cmd_resonances(args) -> int:
         raise ValueError(f"--q-min {args.q_min} exceeds --q-max {args.q_max}")
     table = {}
     for q in range(args.q_min, args.q_max + 1):
-        rc = model.resonant_values(q)
-        entry = rc.as_dict()
+        entry = asdict(model.resonant_values(q))
         entry["z_values"] = model.z_values(q)
         table[str(q)] = entry
     text = json.dumps(table, indent=2)

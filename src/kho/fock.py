@@ -23,8 +23,9 @@ quadrature operator eta (a + a^dag) and exponentiated on its spectrum, so it
 is exactly unitary regardless of truncation.  The kick along the axis
 rotated by theta is the diagonal-phase similarity
 K(theta)[m, n] = e^{i theta (m - n)} K(0)[m, n], so `kick_axis_product` builds
-its kick blocks once and turns them to each of its q axes.  `_quadrature` is
-the one place the quadrature is diagonalized.  Inside a `shared_quadratures()`
+its kick blocks once and turns them to each of its q axes; with kick strength
+v it is also the amplified kick, equal to F^{q v} at resonance.  `_quadrature`
+is the one place the quadrature is diagonalized.  Inside a `shared_quadratures()`
 block each (eta, D) is diagonalized once and its spectrum reused, bitwise, by
 every later operator build of the block; `verify.run` enters one for each
 eta^2 of its checks, so it holds one eta^2's spectra at a time.  Outside
@@ -259,9 +260,21 @@ def kick_axis_product(params: SystemParams, dim: int, v: int = 1) -> tuple[np.nd
     along axes rotated by 2*pi*j*r/q, with kick strength amplified by v.
 
     Includes the global phase (-1)^{r v} from the free evolution over full
-    oscillator periods, which makes the v = 1 case equal F^q exactly.  The
-    kick blocks are built once; each rotated factor is their similarity.
+    oscillator periods, which makes the v = 1 case equal F^q exactly, at
+    every eta^2.  For v > 1 it is the single q-fold diffraction of strength
+    kappa*v, equal up to global phase to F^{q v} when eta^2 is an integer
+    multiple of the principal resonance; ValueError for v < 1, and
+    NonresonantError for v > 1 at any other eta^2.  The kick blocks are
+    built once; each rotated factor is their similarity.
     """
+    if v < 1:
+        raise ValueError("v must be >= 1")
+    if v > 1:
+        res = classify(params.eta_sq, params.q)
+        if res.kind is not ResonanceKind.RESONANT or res.b != 1:
+            raise NonresonantError(
+                f"eta_sq={params.eta_sq} is not an integer multiple of the principal "
+                f"resonance for q={params.q}; the amplified-kick identity needs one")
     q, r = params.q, params.r
     blocks = []
     for s, kick in enumerate(kick_blocks(params, dim, strength=v)):
@@ -271,20 +284,6 @@ def kick_axis_product(params: SystemParams, dim: int, v: int = 1) -> tuple[np.nd
             out = out @ (kick * _axis_turn(j * params.tau, n))
         blocks.append(out)
     return tuple(blocks)
-
-
-def amplified_kick_operator(params: SystemParams, dim: int, v: int) -> tuple[np.ndarray, ...]:
-    """Parity blocks of the single q-fold diffraction with kick strength
-    kappa*v, equal (up to global phase) to F^{q v} when eta^2 sits on a
-    quantum resonance."""
-    if v < 1:
-        raise ValueError("v must be >= 1")
-    res = classify(params.eta_sq, params.q)
-    if res.kind is not ResonanceKind.RESONANT or res.b != 1:
-        raise NonresonantError(
-            f"eta_sq={params.eta_sq} is not an integer multiple of the principal "
-            f"resonance for q={params.q}; the amplified-kick identity needs one")
-    return kick_axis_product(params, dim, v=v)
 
 
 def kick_expansion_matrix(params: SystemParams, dim: int) -> np.ndarray:

@@ -68,11 +68,6 @@ class ConversionResult:
     state: FockVector
     raw_norm: float  # pre-normalization norm; |raw_norm - 1| measures truncation
 
-    @property
-    def reliable(self) -> bool:
-        """The basis held the state: raw_norm is within 1e-3 of 1."""
-        return abs(self.raw_norm - 1.0) <= 1e-3
-
 
 def from_params(alpha: complex, params: SystemParams) -> LatticeState:
     """Lattice state for a bare coherent state |alpha>: M[0] = delta_m0 delta_n0."""
@@ -224,9 +219,9 @@ def to_fock(state: LatticeState, dim: int) -> ConversionResult:
     D(beta)|alpha_j> = e^{(beta alpha_j^* - beta^* alpha_j)/2} |beta + alpha_j>,
     and psi_n sums the prefactors times c_n(beta + alpha_j) from
     specfun.coherent_fock.  The output is normalized; raw_norm records the
-    pre-normalization norm, and the result is `reliable` when it is within
-    1e-3 of 1.  ValueError if it is 0: the basis holds none of the state
-    (an empty state included).
+    pre-normalization norm, whose distance from 1 measures what the basis
+    lost.  ValueError if it is 0: the basis holds none of the state (an
+    empty state included).
     """
     ms, ns, vals = _entries(state)
     q = state.params.q

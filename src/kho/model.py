@@ -93,9 +93,6 @@ class ResonanceClass:
     b: int | None = None
     principal: float | None = None
 
-    def as_dict(self) -> dict:
-        return {"kind": self.kind.value, "a": self.a, "b": self.b, "principal": self.principal}
-
 
 def z_values(q: int) -> list[float]:
     """Distinct nonzero values of |sin(2*pi*j/q)|, j = 0..q-1.

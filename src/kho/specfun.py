@@ -8,7 +8,8 @@ normalized by J_0 + 2 sum_k J_2k = 1, with J_n(-x) = (-1)^n J_n(|x|).  top
 depends on x alone (|J_n(x)| falls below 1e-304 past it), so a table is
 cached by x alone, orders past top read 0, and no value depends on how many
 orders a caller asks for.  bessel_range reads it, negative orders by
-J_{-n} = (-1)^n J_n; bessel_j is its one-order case.  The cost grows with
+J_{-n} = (-1)^n J_n; bessel_j is its one-order case, and k_cutoff reads a
+whole table for its last order at or above a tolerance.  The cost grows with
 |x|: 113 orders and ~75 us at |x| = 0.18, 253 and ~135 us at 12 (2-core
 Xeon host); only verify builds tables, at |x| below about 9.
 Displacement matrix elements use the associated-Laguerre closed form with
@@ -23,7 +24,6 @@ from __future__ import annotations
 
 import math
 from collections.abc import Iterator
-from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
@@ -34,24 +34,16 @@ _RESCALE = 1e250
 _ALPHA_MAX = np.finfo(float).max / _RESCALE  # |power * alpha| stays finite below it
 
 
-@dataclass(frozen=True)
-class GrafGeometry:
-    """Triangle data (zeta', chi) for Graf's addition theorem with equal
-    Bessel arguments zeta and relative angle alpha in [0, pi]."""
-
-    zeta: float
-    alpha: float
-    zeta_prime: float
-    chi: float
-
-
 @lru_cache(maxsize=512)
 def _cached_table(x: float) -> np.ndarray:
     """J_n(x) for n = 0..top by Miller's recurrence (see the module
     docstring).  top is the last n where the bound (|x|/2)^n / n! on |J_n|,
     falling from its peak at n = |x|/2, reaches 1e-304; by Stirling it is
     below n = e|x|/2 + 705.  The running value is rescaled by a power of 2,
-    exactly, before the next factor 2n/|x| could overflow it."""
+    exactly, before the next factor 2n/|x| could overflow it.  ValueError
+    unless |x| <= _X_MAX."""
+    if not abs(x) <= _X_MAX:
+        raise ValueError(f"Bessel argument must be finite with |x| <= {_X_MAX:g}, got {x}")
     ax = abs(x)
     ns = np.arange(1, int(np.e * ax / 2) + 706)
     log_bound = np.cumsum((math.log(ax / 2) if ax else -math.inf) - np.log(ns))
@@ -83,23 +75,14 @@ def bessel_j(n: int, x: float) -> float:
 
 @lru_cache(maxsize=512)
 def k_cutoff(zeta: float, tol: float = 1e-14) -> int:
-    """Smallest k with |J_k(zeta)| < tol; truncation bound for all k-sums.
-
-    The super-exponential decay past the turning point makes this a uniform
-    tail bound: |J_k(zeta)| < tol for every k >= k_cutoff(zeta).
-    """
-    guess = int(abs(zeta)) + 60
-    table = bessel_range(zeta, 0, guess)
-    kc = int(np.nonzero(np.abs(table) >= tol)[0][-1]) + 1
-    if kc > guess:
-        raise RuntimeError(f"no cutoff below tol={tol} found for zeta={zeta}")
-    return kc
+    """Smallest k with |J_j(zeta)| < tol for every j >= k, read off zeta's
+    whole Bessel table; truncation bound for all k-sums."""
+    table = np.abs(_cached_table(float(zeta)))
+    return int(np.nonzero(table >= tol)[0][-1]) + 1
 
 
 def bessel_range(zeta: float, k_lo: int, k_hi: int) -> np.ndarray:
     """J_k(zeta) for k = k_lo..k_hi inclusive (negative orders via parity)."""
-    if not abs(zeta) <= _X_MAX:
-        raise ValueError(f"Bessel argument must be finite with |x| <= {_X_MAX:g}, got {zeta}")
     table = _cached_table(float(zeta))
     ks = np.arange(k_lo, k_hi + 1)
     vals = np.append(table, 0.0)[np.minimum(np.abs(ks), table.size)]
@@ -108,9 +91,9 @@ def bessel_range(zeta: float, k_lo: int, k_hi: int) -> np.ndarray:
     return vals
 
 
-def graf_geometry(zeta: float, alpha: float) -> GrafGeometry:
-    """Resolve (zeta', chi) from the triangle construction behind Graf's
-    theorem for two equal arguments.
+def graf_geometry(zeta: float, alpha: float) -> tuple[float, float]:
+    """(zeta', chi) from the triangle construction behind Graf's theorem for
+    two equal Bessel arguments zeta and relative angle alpha in [0, pi].
 
     zeta' = zeta * sqrt(2 [1 - cos(alpha)]) is the defining relation; chi is
     the two-argument arctangent of (zeta sin(alpha), zeta [1 - cos(alpha)]),
@@ -122,7 +105,7 @@ def graf_geometry(zeta: float, alpha: float) -> GrafGeometry:
         raise ValueError(f"alpha must lie in [0, pi], got {alpha}")
     zeta_prime = zeta * math.sqrt(2.0 * (1.0 - math.cos(alpha)))
     chi = math.atan2(abs(zeta) * math.sin(alpha), abs(zeta) * (1.0 - math.cos(alpha)))
-    return GrafGeometry(zeta=zeta, alpha=alpha, zeta_prime=zeta_prime, chi=chi)
+    return zeta_prime, chi
 
 
 def graf_sum(n: int, zeta: float, alpha: float) -> complex:

@@ -10,6 +10,7 @@ import os
 import time
 
 import numpy as np
+import pytest
 
 from kho import cli, fock, model, verify
 from kho.model import SystemParams
@@ -18,6 +19,17 @@ from oracles import band_max_gap
 
 PHI = model.GOLDEN_RATIO
 THREADS = min(8, os.cpu_count() or 1)
+
+
+@pytest.fixture(scope="module")
+def full_suite():
+    """The results of `kho verify --verify-level full`, run once for
+    criteria 5, 6 and 10, each timed on its own."""
+    return verify.run("full")
+
+
+def _results(suite, prefix):
+    return [r for r in suite if r.name.startswith(prefix)]
 
 
 def report(num, ok, desc, detail=""):
@@ -72,25 +84,23 @@ def test_criterion_04_q6_cycle():
                   f"(worst={result.measured:.2e} < 1e-10, {elapsed:.1f}s)")
 
 
-def test_criterion_05_cross_representation_fidelity():
+def test_criterion_05_cross_representation_fidelity(full_suite):
     """Fock vs lattice propagation at doubling-rule dimension: fidelity
     >= 0.999 for q in {3,4,6}, eta^2 in {principal, phi*pi}, N = 12."""
-    t0 = time.time()
-    results = verify.check_cross_representation()
-    elapsed = time.time() - t0
-    ok = all(r.passed for r in results) and elapsed < 300
+    results = _results(full_suite, "fock/lattice fidelity")
+    elapsed = sum(r.seconds for r in results)
+    ok = len(results) == 6 and all(r.passed for r in results) and elapsed < 300
     detail = ", ".join(f"{r.name.split('fidelity ')[1]}={r.measured:.6f}" for r in results)
     assert report(5, ok, "cross-representation fidelity >= 0.999",
                   f"({detail}, {elapsed:.1f}s)")
 
 
-def test_criterion_06_amplified_kick_equivalence():
+def test_criterion_06_amplified_kick_equivalence(full_suite):
     """||F^{qv} - amplified(v)|| < 1e-7 on the light-cone interior block,
     up to global phase: (q=4, v=2,3) and (q=3, v=2) at D=256."""
-    t0 = time.time()
-    results = verify.check_amplified()
-    elapsed = time.time() - t0
-    ok = all(r.passed for r in results) and elapsed < 120
+    results = _results(full_suite, "amplified kick")
+    elapsed = sum(r.seconds for r in results)
+    ok = len(results) == 3 and all(r.passed for r in results) and elapsed < 120
     detail = ", ".join(f"{r.name.split(' vs')[0]}={r.measured:.2e}" for r in results)
     assert report(6, ok, "amplified-kick equivalence < 1e-7 interior",
                   f"({detail}, {elapsed:.1f}s)")
@@ -192,13 +202,12 @@ def test_criterion_09_butterfly_structure(tmp_path):
                   f"maxgap pi={gaps['pi']:.3e} < phi*pi={gaps['phi*pi']:.3e}, {elapsed:.0f}s)")
 
 
-def test_criterion_10_symmetry_commutators():
+def test_criterion_10_symmetry_commutators(full_suite):
     """max|[F^q, D(gamma)]| < 1e-6 on the light-cone interior block at D=512
     for q in {3,4,6}, at the principal resonance and at phi*pi."""
-    t0 = time.time()
-    results = verify.check_commutators()
-    elapsed = time.time() - t0
-    ok = all(r.passed for r in results) and elapsed < 120
+    results = _results(full_suite, "[F^q, D(gamma)]")
+    elapsed = sum(r.seconds for r in results)
+    ok = len(results) == 6 and all(r.passed for r in results) and elapsed < 120
     worst = max(r.measured for r in results)
     assert report(10, ok, "symmetry commutators < 1e-6 interior, D=512",
                   f"(worst={worst:.2e}, {elapsed:.1f}s)")

@@ -120,6 +120,15 @@ class TestQfunc:
         assert np.abs(vals - want).max() < 1e-12
         assert any("window:" in ln for ln in read_lines(out))
 
+    def test_res_takes_a_sample_count_per_axis(self, tmp_path):
+        out = tmp_path / "q.csv"
+        assert main(["qfunc", "--eta2", "pi", "--kicks", "0", "--dim", "16", "--res", "5,7",
+                     "--out", str(out)]) == 0
+        rows = [ln.split(",") for ln in data_rows(out)]
+        assert [len(row) for row in rows] == [5] * 7  # n_im rows of n_re values
+        window = next(ln for ln in read_lines(out) if ln.startswith("# window:"))
+        assert window.endswith(" n_re=5 n_im=7")
+
     def test_small_window_warns(self, tmp_path, capsys):
         out = tmp_path / "q.csv"
         code = main(["qfunc", "--eta2", "pi", "--kicks", "0", "--dim", "32",
@@ -423,6 +432,12 @@ class TestResonances:
         table = json.loads(capsys.readouterr().out)
         assert table["4"]["kind"] == "resonant"
 
+    def test_q_min_zero_is_usage_error(self, capsys):
+        assert main(["resonances", "--q-min", "0"]) == cli.EXIT_USAGE
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.splitlines()[-1] == "kho: error: q must be a positive integer"
+
 
 class TestVerify:
     def test_quick_passes(self, capsys):
@@ -459,6 +474,11 @@ class TestVerify:
         assert tols == [c.tol for c in checks]
         assert 0.999 in tols
 
+    def test_line_prints_milliseconds(self):
+        check = verify.CheckResult(name="x", passed=True, measured=0.5, tol=1.0,
+                                   seconds=0.0123)
+        assert check.line() == "PASS  x: measured=5.000e-01 tol=1.0 (0.012s)"
+
     @pytest.mark.parametrize("level, calls", [("quick", 5), ("full", 7)])
     def test_each_quadrature_is_diagonalized_once(self, eigh_calls, level, calls):
         # quick: (pi, 128), (pi, 256), (pi, 512), (2pi/sqrt3, 256), (phi*pi, 256);
@@ -470,11 +490,10 @@ class TestVerify:
         assert all(c.seconds > 0 for c in checks)  # run() times each check
         if level == "quick":
             return
-        alone = [verify.check_resonant_table(), verify.check_graf_closure(),
-                 verify.check_axis_product(), verify.check_kick_expansion(),
-                 *verify.check_q4_closed_form(), verify.check_q6_cycle(),
-                 *verify.check_cross_representation(), *verify.check_amplified(),
-                 *verify.check_commutators()]
+        alone = []  # each check of the schedule, outside any shared block
+        for _, check in verify._schedule("full"):
+            res = check()
+            alone += res if isinstance(res, tuple) else [res]
         assert len(eigh_calls) > 2 * calls  # the checks alone share nothing
         assert {c.seconds for c in alone} == {0.0}  # timed by run() only
         assert [(c.name, c.measured) for c in checks] == [(c.name, c.measured) for c in alone]
@@ -611,6 +630,7 @@ class TestUsageErrors:
         ["resonances", "--q-min", "5", "--q-max", "3"],  # an empty range
         ["qfunc", "--eta2", "pi", "--res", "2.5"],
         ["qfunc", "--eta2", "pi", "--window", "abc"],
+        ["qfunc", "--eta2", "pi", "--res", "3,3,3"],  # res takes one or two counts
     ])
     def test_bad_input_is_clean_usage_error(self, tmp_path, capsys, argv):
         # an uncaught exception, or a numpy warning raised as one, would

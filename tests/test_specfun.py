@@ -99,14 +99,32 @@ def test_k_cutoff_bounds_tail():
             assert abs(specfun.bessel_j(k, zeta)) < 1e-14
 
 
+def test_k_cutoff_reads_the_whole_table():
+    # past |zeta| + 60 at large zeta: the tail beyond the turning point grows
+    # like zeta^(1/3)
+    for zeta, want in ((0.18, 9), (9.0, 32), (50.0, 88), (100.0, 147),
+                       (300.0, 366), (1000.0, 1097)):
+        assert specfun.k_cutoff(zeta) == want
+        assert np.abs(specfun.bessel_range(zeta, want, want + 200)).max() < 1e-14
+        assert abs(specfun.bessel_j(want - 1, zeta)) >= 1e-14
+
+
+def test_k_cutoff_refuses_what_bessel_range_refuses():
+    for zeta in (1.5e4, -2e4, math.inf, math.nan):
+        with pytest.raises(ValueError, match="Bessel argument"):
+            specfun.k_cutoff(zeta)
+        with pytest.raises(ValueError, match="Bessel argument"):
+            specfun.bessel_range(zeta, 0, 3)
+
+
 def test_graf_geometry_special_angles():
-    g = specfun.graf_geometry(1.3, math.pi)
-    assert g.zeta_prime == pytest.approx(2.6, abs=1e-15)
-    assert g.chi == pytest.approx(0.0, abs=1e-15)
-    assert specfun.graf_geometry(0.8, 0.0).zeta_prime == 0.0
-    g = specfun.graf_geometry(0.6, math.pi / 2)
-    assert g.zeta_prime == pytest.approx(0.6 * math.sqrt(2), rel=1e-15)
-    assert g.chi == pytest.approx(math.pi / 4, rel=1e-15)
+    zeta_prime, chi = specfun.graf_geometry(1.3, math.pi)
+    assert zeta_prime == pytest.approx(2.6, abs=1e-15)
+    assert chi == pytest.approx(0.0, abs=1e-15)
+    assert specfun.graf_geometry(0.8, 0.0)[0] == 0.0
+    zeta_prime, chi = specfun.graf_geometry(0.6, math.pi / 2)
+    assert zeta_prime == pytest.approx(0.6 * math.sqrt(2), rel=1e-15)
+    assert chi == pytest.approx(math.pi / 4, rel=1e-15)
 
 
 def test_graf_geometry_defining_relations():
@@ -114,10 +132,10 @@ def test_graf_geometry_defining_relations():
     for _ in range(50):
         zeta = float(rng.uniform(0.0, 5.0))
         alpha = float(rng.uniform(0.0, math.pi))
-        g = specfun.graf_geometry(zeta, alpha)
-        assert g.zeta_prime == pytest.approx(zeta * math.sqrt(2 * (1 - math.cos(alpha))), abs=1e-12)
-        assert zeta * (1 - math.cos(alpha)) == pytest.approx(g.zeta_prime * math.cos(g.chi), abs=1e-12)
-        assert zeta * math.sin(alpha) == pytest.approx(g.zeta_prime * math.sin(g.chi), abs=1e-12)
+        zeta_prime, chi = specfun.graf_geometry(zeta, alpha)
+        assert zeta_prime == pytest.approx(zeta * math.sqrt(2 * (1 - math.cos(alpha))), abs=1e-12)
+        assert zeta * (1 - math.cos(alpha)) == pytest.approx(zeta_prime * math.cos(chi), abs=1e-12)
+        assert zeta * math.sin(alpha) == pytest.approx(zeta_prime * math.sin(chi), abs=1e-12)
 
 
 def test_graf_geometry_rejects_bad_alpha():
@@ -150,8 +168,8 @@ def test_graf_closure_property():
         n = int(rng.integers(-10, 11))
         zeta = float(rng.uniform(0.0, 5.0))
         alpha = float(rng.uniform(0.0, math.pi))
-        g = specfun.graf_geometry(zeta, alpha)
-        rhs = specfun.bessel_j(n, g.zeta_prime) * np.exp(1j * n * g.chi)
+        zeta_prime, chi = specfun.graf_geometry(zeta, alpha)
+        rhs = specfun.bessel_j(n, zeta_prime) * np.exp(1j * n * chi)
         assert abs(specfun.graf_sum(n, zeta, alpha) - rhs) < 1e-12
 
 
