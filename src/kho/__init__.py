@@ -8,12 +8,12 @@ a second BLAS thread, and `--threads` pool workers fork from a process with
 the same setting, so output bytes do not depend on the core count.
 
 The package imports none of its submodules: `from kho import fock` loads
-fock and what it uses, and `kho.cli` loads only `model` until a subcommand
-handler imports the numerics it runs.  numpy's first import on the CLI path
-is therefore in that handler, after the pin, and numpy's OpenBLAS, which
-also runs `fock`'s LAPACK calls (see `_lapack`), starts under the setting.
-`kho resonances` loads no numpy.  A program that imports numpy before kho
-keeps numpy's thread setting, for LAPACK too.
+fock and what it uses, and `kho.cli` loads only `model` and `output` until a
+subcommand handler imports the numerics it runs.  numpy's first import on
+the CLI path is therefore in that handler, after the pin, and numpy's
+OpenBLAS, which also runs `fock`'s LAPACK calls (see `_lapack`), starts
+under the setting.  `kho resonances` loads no numpy.  A program that imports
+numpy before kho keeps numpy's thread setting, for LAPACK too.
 """
 
 import os

@@ -1,10 +1,11 @@
 """Command-line front end.
 
-Subcommands: evolve, qfunc, energy-scan, spectrum, resonances, verify.
-Exit status: 0 success, 1 usage error, 2 truncation-unsafe result,
-3 verification failure.  All outputs are deterministic: the same flags
-produce byte-identical files under a fixed BLAS thread setting, which is one
-OpenBLAS thread unless OPENBLAS_NUM_THREADS says otherwise (see kho/__init__).
+Subcommands: evolve, qfunc, energy-scan, spectrum, resonances, verify.  Exit
+status: 0 success, 1 usage error, 2 truncation-unsafe result, 3 verification
+failure.  All outputs are deterministic: the same flags produce byte-identical
+files under a fixed BLAS thread setting, which is one OpenBLAS thread unless
+OPENBLAS_NUM_THREADS says otherwise (see kho/__init__).  Handlers write through
+kho.output in one all_or_nothing() block: a failed run removes what it made.
 """
 
 from __future__ import annotations
@@ -18,8 +19,8 @@ import sys
 from dataclasses import asdict, replace
 
 # numpy and the numeric modules are imported by the handlers that run them:
-# `resonances`, `--help` and a usage error load none of them
-from . import model
+# `resonances`, `--help` and a usage error load none of them; `output` loads no numpy
+from . import model, output
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -167,7 +168,7 @@ def _config_echo(args, keys) -> dict:
 
 
 def cmd_evolve(args) -> int:
-    from . import fock, output
+    from . import fock
 
     if args.state_out and os.path.realpath(args.state_out) == os.path.realpath(args.out):
         raise ValueError(f"--state-out and --out name the same file: {args.out}")
@@ -179,17 +180,12 @@ def cmd_evolve(args) -> int:
     extra = []
     if result.truncation_unsafe:
         extra.append(f"warning: truncation-unsafe from kick {result.first_unsafe_kick}")
-    # a failed run writes nothing: the state goes first, and is removed
-    # again if the trace cannot be written
     if args.state_out:
-        with open(args.state_out, "w") as fh:
-            fh.write(output.fock_state_json(result.state))
-    try:
-        output.write_energy_trace(args.out, cfg, result.energies, extra)
-    except OSError:
-        if args.state_out:
-            os.remove(args.state_out)
-        raise
+        amps = [[a.real, a.imag] for a in result.state.amps]
+        output._write(args.state_out, json.dumps(
+            {"schema": output.SCHEMA_VERSION, "dim": result.state.dim, "amps": amps}))
+    output.write_csv(args.out, "evolve", cfg, ["kick", "mean_energy"],
+                     enumerate(result.energies.tolist()), extra)
     if result.truncation_unsafe:
         print(f"kho evolve: truncation-unsafe from kick {result.first_unsafe_kick}; "
               f"trace written to {args.out}", file=sys.stderr)
@@ -200,7 +196,7 @@ _QFUNC_PANELS = {"pi": (36, 108), "phi*pi": (36, 108)}  # eta^2 -> kick counts
 
 
 def cmd_qfunc(args) -> int:
-    from . import fock, output
+    from . import fock
 
     if args.out is not None:
         out = args.out
@@ -212,6 +208,7 @@ def cmd_qfunc(args) -> int:
         raise ValueError("--kicks needs --eta2: the default panel set runs its own "
                          "kick counts, N=36 and N=108")
     else:
+        output.make_dirs(out)
         panels = {}
         for eta2, counts in _QFUNC_PANELS.items():
             name = eta2.replace("*", "")
@@ -226,41 +223,27 @@ def cmd_qfunc(args) -> int:
                  for (kicks, path), result in zip(group, results)]
     # one coherent-amplitude walk for every panel
     grids = fock.q_functions([result.state for *_, result in runs], args.window, args.res)
-    made = []  # the directories this run creates, deepest first
-    if args.eta2 is None:  # a run that fails before this point leaves no directory
-        parent = os.path.abspath(out)
-        while not os.path.isdir(parent):
-            made, parent = made + [parent], os.path.dirname(parent)
-        os.makedirs(out, exist_ok=True)
-    status, written = EXIT_OK, []
-    try:
-        for (eta2, params, kicks, path, result), grid in zip(runs, grids):
-            cfg = _config_echo(args, ["q", "r", "kappa", "dim", "alpha"])
-            cfg.update(eta2=eta2, kicks=kicks)
-            cfg["eta2_value"] = output.fmt(params.eta_sq)
-            riemann_sum = grid.riemann_sum()
-            extra = [f"riemann_sum={output.fmt(riemann_sum)}"]
-            if result.truncation_unsafe:
-                extra.append(f"warning: truncation-unsafe from kick {result.first_unsafe_kick}")
-                print(f"kho qfunc: truncation-unsafe from kick {result.first_unsafe_kick} "
-                      f"for {path}", file=sys.stderr)
-                status = EXIT_TRUNCATION
-            if riemann_sum < 0.99:
-                extra.append("warning: window too small, probability mass outside grid")
-                print(f"kho qfunc: window misses probability mass "
-                      f"(sum={riemann_sum:.3f}) for {path}", file=sys.stderr)
-            elif riemann_sum > 1.01:
-                extra.append("warning: grid coarser than Q, Riemann sum overestimates the mass")
-                print(f"kho qfunc: grid too coarse to resolve Q "
-                      f"(sum={riemann_sum:.3g}) for {path}", file=sys.stderr)
-            output.write_qgrid(path, cfg, grid, extra)
-            written.append(path)
-    except OSError:  # nor does one that fails writing its panels
-        for path in written:
-            os.remove(path)
-        for directory in made:
-            os.rmdir(directory)
-        raise
+    status = EXIT_OK
+    for (eta2, params, kicks, path, result), grid in zip(runs, grids):
+        cfg = _config_echo(args, ["q", "r", "kappa", "dim", "alpha"])
+        cfg.update(eta2=eta2, kicks=kicks)
+        cfg["eta2_value"] = output.fmt(params.eta_sq)
+        riemann_sum = grid.riemann_sum()
+        extra = [f"riemann_sum={output.fmt(riemann_sum)}"]
+        if result.truncation_unsafe:
+            extra.append(f"warning: truncation-unsafe from kick {result.first_unsafe_kick}")
+            print(f"kho qfunc: truncation-unsafe from kick {result.first_unsafe_kick} "
+                  f"for {path}", file=sys.stderr)
+            status = EXIT_TRUNCATION
+        if riemann_sum < 0.99:
+            extra.append("warning: window too small, probability mass outside grid")
+            print(f"kho qfunc: window misses probability mass "
+                  f"(sum={riemann_sum:.3f}) for {path}", file=sys.stderr)
+        elif riemann_sum > 1.01:
+            extra.append("warning: grid coarser than Q, Riemann sum overestimates the mass")
+            print(f"kho qfunc: grid too coarse to resolve Q "
+                  f"(sum={riemann_sum:.3g}) for {path}", file=sys.stderr)
+        output.write_qgrid(path, cfg, grid, extra)
     return status
 
 
@@ -296,8 +279,6 @@ def _map_points(worker, payloads, threads):
 
 
 def cmd_energy_scan(args) -> int:
-    from . import output
-
     systems = _scan_grid(args)
     results = _map_points(_energy_scan_point,
                           [(params, args.dim, args.kicks) for params in systems], args.threads)
@@ -316,7 +297,8 @@ def cmd_energy_scan(args) -> int:
                      + ",".join(map(str, unsafe_points)))
         print(f"kho energy-scan: {len(unsafe_points)} truncation-unsafe points",
               file=sys.stderr)
-    output.write_energy_scan(args.out, cfg, rows, extra)
+    output.write_csv(args.out, "energy-scan", cfg,
+                     ["eta_sq", "kicks_to_50", "kicks_to_200"], rows, extra)
     return EXIT_TRUNCATION if unsafe_points else EXIT_OK
 
 
@@ -330,14 +312,12 @@ def _spectrum_point(payload):
 
 
 def cmd_spectrum(args) -> int:
-    from . import output
-
     payloads = [(params, args.dim) for params in _scan_grid(args)]
     rows = [row for point_rows in _map_points(_spectrum_point, payloads, args.threads)
             for row in point_rows]
     cfg = _config_echo(args, ["q", "r", "kappa", "dim",
                               "scan-min", "scan-max", "scan-points"])
-    output.write_spectrum(args.out, cfg, rows)
+    output.write_csv(args.out, "spectrum", cfg, ["eta_sq", "phi", "ground_overlap"], rows)
     return EXIT_OK
 
 
@@ -351,8 +331,7 @@ def cmd_resonances(args) -> int:
         table[str(q)] = entry
     text = json.dumps(table, indent=2)
     if args.out:
-        with open(args.out, "w") as fh:
-            fh.write(text + "\n")
+        output._write(args.out, text + "\n")
     else:
         print(text)
     return EXIT_OK
@@ -382,7 +361,8 @@ _HANDLERS = {
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        return _HANDLERS[args.command](args)
+        with output.all_or_nothing():  # a failed run leaves no output behind
+            return _HANDLERS[args.command](args)
     # bad input, an output path that cannot be written, or a basis or grid
     # too big for memory (numpy's MemoryError names the allocation it failed)
     except (ValueError, OSError, MemoryError) as exc:

@@ -1,5 +1,6 @@
 import argparse
 import dataclasses
+import errno
 import json
 import math
 import os
@@ -364,15 +365,18 @@ class TestColdStart:
         mapped = done.stdout.splitlines()
         assert len(mapped) == 1 and mapped[0] in {os.path.realpath(p) for p in numpy_openblas}
 
-    def test_resonances_help_and_usage_errors_load_no_numerics(self):
+    def test_resonances_help_and_usage_errors_load_no_numerics(self, tmp_path):
         """The resonance table is plain arithmetic in kho.model, and --help and
         a usage error end in argparse: none of them loads numpy, scipy or a
-        numeric kho module."""
+        numeric kho module.  `resonances --out` writes through kho.output,
+        which imports no numpy either."""
+        out = str(tmp_path / "r.json")
         script = (
             "import contextlib, io, sys\n"
             "from kho.cli import main\n"
             "codes = []\n"
-            "for argv in (['resonances'], ['--help'], ['spectrum', '--dim', '0']):\n"
+            "for argv in (['resonances'], ['--help'], ['spectrum', '--dim', '0'],\n"
+            f"             ['resonances', '--out', {out!r}]):\n"
             "    with contextlib.redirect_stdout(io.StringIO()), "
             "contextlib.redirect_stderr(io.StringIO()):\n"
             "        try:\n"
@@ -381,10 +385,10 @@ class TestColdStart:
             "            codes.append(exc.code)\n"
             "print(codes)\n"
             "print(sorted(m for m in ('numpy', 'scipy', 'kho.fock', 'kho.specfun', "
-            "'kho._lapack') if m in sys.modules))\n")
+            "'kho._lapack', 'kho.output') if m in sys.modules))\n")
         done = run_fresh(script)
         assert done.returncode == 0, done.stderr
-        assert done.stdout.splitlines() == ["[0, 0, 1]", "[]"]
+        assert done.stdout.splitlines() == ["[0, 0, 1, 0]", "['kho.output']"]
 
     def test_cli_import_pins_blas_threads_before_numpy(self):
         """numpy's first import comes in a handler, after kho's pin."""
@@ -713,3 +717,76 @@ class TestUsageErrors:
         assert code == cli.EXIT_USAGE
         assert len(written) == 2
         assert list(tmp_path.iterdir()) == []
+
+
+class _FullDiskFile:
+    """A file that keeps the first 10 characters written to it, then fails as
+    a full disk does."""
+
+    def __init__(self, fh):
+        self._fh = fh
+        self.fileno = fh.fileno
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        self._fh.close()
+
+    def write(self, text):
+        self._fh.write(text[:10])
+        self._fh.flush()
+        raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
+
+
+# small runs that print nothing to stderr when they succeed
+QUIET = ["--dim", "32", "--kappa", "-0.01"]
+QUIET_GRID = [*QUIET, "--res", "25", "--window", "6"]
+
+
+class TestFailedRunLeavesNothing:
+    @pytest.mark.parametrize("argv, fail_at", [
+        (["evolve", *QUIET, "--kicks", "2", "--state-out", "{tmp}/s.json",
+          "--out", "{tmp}/e.csv"], 1),
+        (["evolve", *QUIET, "--kicks", "2", "--state-out", "{tmp}/s.json",
+          "--out", "{tmp}/e.csv"], 0),
+        (["qfunc", "--eta2", "pi", *QUIET_GRID, "--kicks", "2", "--out", "{tmp}/q.csv"], 0),
+        (["qfunc", *QUIET_GRID, "--out", "{tmp}/out/panels"], 2),
+        (["energy-scan", *QUIET, "--scan-points", "2", "--kicks", "3",
+          "--out", "{tmp}/scan.csv"], 0),
+        (["spectrum", "--dim", "16", "--scan-points", "2", "--out", "{tmp}/spectrum.csv"], 0),
+        (["resonances", "--out", "{tmp}/r.json"], 0),
+    ], ids=["evolve-trace", "evolve-state-out", "qfunc-single", "qfunc-third-panel",
+            "energy-scan", "spectrum", "resonances"])
+    def test_disk_full_removes_what_the_run_wrote(self, tmp_path, capsys, monkeypatch,
+                                                  argv, fail_at):
+        # the file opened fail_at-th (from 0) takes a prefix, then the disk is full:
+        # the run ends in the ENOSPC error and removes every file and
+        # directory it made, the part-written file too
+        opened = []
+
+        def full_disk_open(path, mode="r"):
+            fh = open(path, mode)
+            opened.append(path)
+            return _FullDiskFile(fh) if len(opened) > fail_at else fh
+
+        monkeypatch.setattr(output, "open", full_disk_open, raising=False)
+        code = main([arg.format(tmp=tmp_path) for arg in argv])
+        assert len(opened) == fail_at + 1
+        assert code == cli.EXIT_USAGE
+        assert capsys.readouterr().err == (
+            f"kho: error: [Errno {errno.ENOSPC}] {os.strerror(errno.ENOSPC)}\n")
+        assert list(tmp_path.iterdir()) == []
+
+    def test_a_path_that_is_not_a_regular_file_is_never_removed(self, tmp_path, capsys,
+                                                               monkeypatch):
+        # the state goes to the null device, then the trace cannot be written;
+        # removals are recorded, never made, as the suite may run as root
+        removed = []
+        monkeypatch.setattr(os, "remove", removed.append)
+        monkeypatch.setattr(os, "rmdir", removed.append)
+        code = main(["evolve", *QUIET, "--kicks", "1", "--state-out", os.devnull,
+                     "--out", str(tmp_path / "missing" / "x.csv")])
+        assert code == cli.EXIT_USAGE
+        assert "kho: error:" in capsys.readouterr().err
+        assert os.devnull not in removed
