@@ -136,7 +136,8 @@ def build_parser() -> argparse.ArgumentParser:
     ps.add_argument("--scan-min", default="0.4*pi")
     ps.add_argument("--scan-max", default="1.6*pi")
     ps.add_argument("--scan-points", type=_int_at_least(1), default=61)
-    ps.add_argument("--threads", type=_int_at_least(1), default=1)
+    ps.add_argument("--threads", type=_int_at_least(1), default=None,
+                    help="processes (default: every usable CPU, at most one per point)")
     ps.add_argument("--out", default="energy_scan.csv")
 
     pp = sub.add_parser("spectrum", help="quasienergy spectrum vs eta^2")
@@ -144,7 +145,8 @@ def build_parser() -> argparse.ArgumentParser:
     pp.add_argument("--scan-min", default="0.2*pi")
     pp.add_argument("--scan-max", default="1.8*pi")
     pp.add_argument("--scan-points", type=_int_at_least(1), default=161)
-    pp.add_argument("--threads", type=_int_at_least(1), default=1)
+    pp.add_argument("--threads", type=_int_at_least(1), default=1,
+                    help="processes (default 1: concurrent dense eigensolves do not overlap)")
     pp.add_argument("--out", default="spectrum.csv")
 
     pr = sub.add_parser("resonances", help="resonance table and z_n enumeration")
@@ -267,21 +269,113 @@ def _energy_scan_point(payload):
     return crossings, unsafe_before
 
 
-def _map_points(worker, payloads, threads):
-    """worker(payload) for each payload, results in payload order.  The pool
-    is imported here: a serial run does not load multiprocessing."""
-    if threads > 1:
-        from concurrent.futures import ProcessPoolExecutor
+_TOKEN = 4  # bytes per chunk index in the task pipe of _map_points
+# a pipe buffer holds at least one 4 KiB page, where the parent's one write
+# cannot block; a longer scan sends chunks of consecutive points
+_PIPE_TOKENS = 4096 // _TOKEN
 
-        with ProcessPoolExecutor(max_workers=threads) as ex:
-            return list(ex.map(worker, payloads))
-    return [worker(p) for p in payloads]
+
+def _map_points(worker, payloads, threads):
+    """worker(payload) for each payload, results in payload order, run on at
+    most `threads` processes.  One process runs the serial loop and forks
+    nothing.
+
+    Otherwise this process forks threads - 1 children once the handler has
+    imported the numerics, so no child imports them again.  The parent and
+    the children pull point indices from one pipe, filled before the fork:
+    a point can cost 20 times another, and a fixed split would leave a
+    process idle.  Each child pickles its (index, result) pairs back through
+    its own pipe and leaves by os._exit; a child whose parent has died stops
+    pulling points and leaves too.  The first failure a process meets
+    empties the index pipe, so the others stop after their current point.
+    The parent reaps every child, also when its own share fails, then raises
+    the lowest-index failure, as the serial loop would; a child that dies
+    before reporting a lower index ends the run in ChildProcessError.  Every
+    point runs the same single-threaded code, so the results do not depend
+    on the process count."""
+    n = len(payloads)
+    threads = min(threads, n)
+    if threads <= 1:
+        return [worker(p) for p in payloads]
+    import pickle
+
+    chunk = -(-n // _PIPE_TOKENS)  # points per index: 1 up to 1,024 points
+    tasks, feed = os.pipe()
+    os.write(feed, b"".join(i.to_bytes(_TOKEN, "little") for i in range(0, n, chunk)))
+    os.close(feed)  # a read of the emptied pipe then returns b""
+
+    parent = os.getpid()
+
+    def share(wanted=lambda: True):
+        """(index, result) pairs of the points pulled while wanted(), and
+        [(index, exception)] of the first failure, or []."""
+        done = []
+        while wanted() and (token := os.read(tasks, _TOKEN)):
+            start = int.from_bytes(token, "little")
+            for i in range(start, min(start + chunk, n)):
+                try:
+                    done.append((i, worker(payloads[i])))
+                except Exception as exc:
+                    while os.read(tasks, 4096):  # every index left is higher
+                        pass
+                    return done, [(i, exc)]
+        return done, []
+
+    children, reports, lost = [], [], []  # (pid, read end of its report pipe)
+    try:
+        for _ in range(threads - 1):
+            report, sink = os.pipe()
+            pid = os.fork()
+            if pid == 0:
+                code = 1
+                try:
+                    os.close(report)
+                    with open(sink, "wb") as fh:  # an orphan stops pulling points
+                        pickle.dump(share(lambda: os.getppid() == parent), fh)
+                    code = 0
+                finally:
+                    os._exit(code)  # no atexit handler, buffer flush or traceback
+            os.close(sink)
+            children.append((pid, report))
+        reports.append(share())
+    finally:
+        while os.read(tasks, 4096):  # a failed fork or an interrupt stops the children
+            pass
+        os.close(tasks)
+        for pid, report in children:
+            with open(report, "rb") as fh:
+                data = fh.read()
+            code = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
+            if code == 0:
+                reports.append(pickle.loads(data))
+            else:
+                lost.append(f"worker process {pid} "
+                            + (f"was killed by signal {-code}" if code < 0
+                               else f"exited with status {code}"))
+    results, failed = {}, {}
+    for done, failure in reports:
+        results.update(done)
+        failed.update(failure)
+    unreported = min(set(range(n)) - results.keys() - failed.keys(), default=n)
+    if lost and min(failed, default=n) >= unreported:  # no lower failure reported
+        raise ChildProcessError(lost[0])
+    if failed:
+        raise failed[min(failed)]
+    return [results[i] for i in range(n)]
+
+
+def _usable_cpus() -> int:
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # no CPU affinity outside Linux
+        return os.cpu_count() or 1
 
 
 def cmd_energy_scan(args) -> int:
     systems = _scan_grid(args)
     results = _map_points(_energy_scan_point,
-                          [(params, args.dim, args.kicks) for params in systems], args.threads)
+                          [(params, args.dim, args.kicks) for params in systems],
+                          args.threads or _usable_cpus())
     rows, unsafe_points = [], []
     for idx, (params, (crossings, unsafe)) in enumerate(zip(systems, results)):
         k50, k200 = (UNREACHED if c is None else c for c in crossings)

@@ -3,10 +3,13 @@
 All floats are written with 17 significant digits so emitted values
 round-trip exactly; identical run configurations produce byte-identical
 files.  `_write` opens every file kho writes and `make_dirs` makes every
-directory it needs.  Inside an `all_or_nothing()` block both record what
-they create, and a block that raises removes it.  Only regular files are
-recorded: a device or FIFO named as an output is written to, never removed.
-The module imports no numpy, so `kho resonances` writes through it too.
+directory it needs.  A file is written to a temporary file beside its
+target and renamed into place, so a target is never seen part-written.
+Inside an `all_or_nothing()` block a file it replaces is first moved aside;
+a block that raises removes what it wrote and made and moves every replaced
+file back, and a block that succeeds removes the old files.  A device or
+FIFO named as an output is written in place, never renamed or removed.  The
+module imports no numpy, so `kho resonances` writes through it too.
 """
 
 from __future__ import annotations
@@ -18,35 +21,76 @@ import stat
 
 SCHEMA_VERSION = 1
 
-# (remove, path) for each file written and directory made in an all_or_nothing()
-# block; unset outside one, where _MADE.get([]) hands out a list that is dropped
+# (undo, *args) for each file written and directory made in an all_or_nothing()
+# block; unset outside one, where make_dirs's _MADE.get([]) gets a list that is dropped
 _MADE: contextvars.ContextVar[list] = contextvars.ContextVar("kho_output_made")
+
+
+def _restore(old, path) -> None:
+    """Undo a replacement: the old file, moved aside to `old`, goes back."""
+    os.replace(old, path)
 
 
 @contextlib.contextmanager
 def all_or_nothing():
-    """Within the block, record each regular file written and directory made;
-    if the block raises, remove them, last first.  A removal that fails is
-    skipped, so the block's own error is the one that propagates."""
+    """Within the block, record each file written and directory made.  If the
+    block raises, undo them, last first: a new file or directory is removed,
+    a replaced file gets its old content back.  A step that fails is skipped,
+    so the block's own error is the one that propagates.  If the block
+    succeeds, the old files are removed."""
     made = []
     token = _MADE.set(made)
     try:
         yield
     except BaseException:
-        for remove, path in reversed(made):
+        for undo, *args in reversed(made):
             with contextlib.suppress(OSError):
-                remove(path)
+                undo(*args)
         raise
     finally:
         _MADE.reset(token)
+    for undo, *args in made:
+        if undo is _restore:
+            with contextlib.suppress(OSError):
+                os.remove(args[0])
 
 
 def _write(path, text: str) -> None:
-    """Write text to path: the one place kho opens a file for writing."""
-    with open(path, "w") as fh:
-        if stat.S_ISREG(os.fstat(fh.fileno()).st_mode):
-            _MADE.get([]).append((os.remove, path))
-        fh.write(text)
+    """Write text to path: the one place kho opens a file for writing.  The
+    new file takes a replaced file's permission bits; through a symlink, the
+    file it names is replaced."""
+    target = os.path.realpath(path)
+    try:
+        st = os.stat(target)
+    except OSError:
+        st = None  # a new file; a path that cannot be written fails below
+    # "dir/" names no regular file: open() raises its error (EISDIR, ENOTDIR)
+    if path.endswith(os.sep) or (st is not None and not stat.S_ISREG(st.st_mode)):
+        with open(path, "w") as fh:
+            fh.write(text)
+        return
+    head, name = os.path.split(target)
+    tmp, old = (os.path.join(head, f".{name}.{os.getpid()}.{ext}") for ext in ("tmp", "old"))
+    try:
+        fh = open(tmp, "x")
+    except OSError as exc:  # named by the path asked for, not the temporary one
+        raise OSError(exc.errno, exc.strerror, path) from None
+    made = _MADE.get(None)
+    try:
+        with fh:
+            if st is not None:
+                os.chmod(tmp, stat.S_IMODE(st.st_mode))
+            fh.write(text)
+        if made is not None and st is not None:
+            os.replace(target, old)
+            made.append((_restore, old, target))
+        os.replace(tmp, target)
+    except BaseException:
+        with contextlib.suppress(OSError):
+            os.remove(tmp)
+        raise
+    if made is not None and st is None:
+        made.append((os.remove, target))
 
 
 def make_dirs(path) -> None:

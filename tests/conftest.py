@@ -3,6 +3,7 @@ the BLAS thread setting of the CLI (one OpenBLAS thread unless
 OPENBLAS_NUM_THREADS is set; see kho/__init__.py), and holds the shared
 fixtures."""
 
+import os
 import tracemalloc
 from pathlib import Path
 
@@ -45,3 +46,11 @@ def traced_peak():
         finally:
             tracemalloc.stop()
     return peak
+
+
+@pytest.fixture
+def no_child_left():
+    """After the test, this process has no child process, running or unreaped."""
+    yield
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)

@@ -4,8 +4,10 @@ import errno
 import json
 import math
 import os
+import signal
 import subprocess
 import sys
+import time
 import warnings
 
 import numpy as np
@@ -25,13 +27,13 @@ def data_rows(path):
     return [ln for ln in read_lines(path) if not ln.startswith("#")]
 
 
-def run_fresh(script: str) -> subprocess.CompletedProcess:
+def run_fresh(script: str, timeout=None) -> subprocess.CompletedProcess:
     """script run in a fresh interpreter that imports this kho."""
     src = os.path.dirname(os.path.dirname(kho.__file__))
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
     return subprocess.run([sys.executable, "-c", script], env=env,
-                          capture_output=True, text=True)
+                          capture_output=True, text=True, timeout=timeout)
 
 
 class TestEvolve:
@@ -250,13 +252,107 @@ class TestEnergyScan:
         row = data_rows(out)[1].split(",")
         assert row[1] == "-1" and row[2] == "-1"
 
-    def test_threads_match_serial(self, tmp_path):
-        a, b = tmp_path / "a.csv", tmp_path / "b.csv"
-        argv = ["energy-scan", "--scan-min", "0.9*pi", "--scan-max", "1.1*pi",
-                "--scan-points", "3", "--dim", "128", "--kicks", "150"]
-        assert main(argv + ["--out", str(a), "--threads", "1"]) in (0, 2)
-        assert main(argv + ["--out", str(b), "--threads", "2"]) in (0, 2)
-        assert a.read_bytes() == b.read_bytes()
+    def test_threads_match_serial(self, tmp_path, no_child_left):
+        # points that stop at E=200 after 89 kicks or run the 400-kick budget:
+        # the default (one process per usable CPU), and more processes than
+        # points on any host, give the bytes of the serial loop
+        argv = ["energy-scan", "--scan-min", "0.8*pi", "--scan-max", "1.2*pi",
+                "--scan-points", "5", "--dim", "500", "--kicks", "400"]
+        outputs = []
+        for threads in ([], ["--threads", "1"], ["--threads", "8"]):
+            out = tmp_path / f"scan{len(outputs)}.csv"
+            assert main(argv + threads + ["--out", str(out)]) == cli.EXIT_TRUNCATION
+            outputs.append(out.read_bytes())
+        assert outputs[0] == outputs[1] == outputs[2]
+        assert [row.split(",")[2] for row in data_rows(tmp_path / "scan1.csv")[1:]] == [
+            "-1", "-1", "89", "-1", "-1"]
+
+
+def _wait_for(path, timeout=60.0):
+    """Poll until path exists: a worker in this process waits for a child to
+    take a point before it goes on."""
+    deadline = time.monotonic() + timeout
+    while not path.exists():
+        assert time.monotonic() < deadline, f"no child wrote {path}"
+        time.sleep(0.005)
+
+
+class TestForkedWorkers:
+    """_map_points with more than one process: results come back in order, a
+    failure anywhere ends the run as the serial loop's would, and every child
+    is reaped (the no_child_left fixture)."""
+
+    def test_a_scan_longer_than_the_index_pipe_is_sent_in_chunks(self, no_child_left):
+        # 20,000 four-byte indices would overfill a 64 KiB pipe before the fork
+        payloads = list(range(20_000))
+        assert cli._map_points(lambda i: i * i, payloads, 3) == [i * i for i in payloads]
+
+    @pytest.fixture
+    def marker(self, tmp_path):
+        return tmp_path / "child"
+
+    def test_a_point_that_raises_in_a_child_reports_the_lowest_index(
+            self, tmp_path, capsys, monkeypatch, no_child_left, marker):
+        # every point raises, the parent's only once a child's has: whichever
+        # process took the first point, its error is the one reported
+        parent = os.getpid()
+
+        def fail(payload):
+            eta_sq = payload[0].eta_sq
+            if os.getpid() != parent:
+                marker.write_text(f"{eta_sq:g}")
+            else:
+                _wait_for(marker)
+            origin = "parent" if os.getpid() == parent else "child"
+            raise ValueError(f"point {eta_sq:g} in {origin}")
+
+        monkeypatch.setattr(cli, "_energy_scan_point", fail)
+        (tmp_path / "run").mkdir()
+        code = main(["energy-scan", "--scan-min", "1", "--scan-max", "4", "--scan-points", "4",
+                     "--threads", "2", "--out", str(tmp_path / "run" / "scan.csv")])
+        assert code == cli.EXIT_USAGE
+        origin = "child" if marker.read_text() == "1" else "parent"
+        assert capsys.readouterr().err == f"kho: error: point 1 in {origin}\n"
+        assert list((tmp_path / "run").iterdir()) == []
+
+    def test_a_killed_child_is_a_clean_error(self, tmp_path, capsys, monkeypatch,
+                                             no_child_left, marker):
+        parent, point = os.getpid(), cli._energy_scan_point
+
+        def die_in_child(payload):
+            if os.getpid() != parent:
+                marker.touch()
+                os.kill(os.getpid(), signal.SIGKILL)
+            _wait_for(marker)
+            return point(payload)
+
+        monkeypatch.setattr(cli, "_energy_scan_point", die_in_child)
+        (tmp_path / "run").mkdir()
+        code = main(["energy-scan", "--dim", "16", "--kicks", "3", "--scan-points", "2",
+                     "--threads", "2", "--out", str(tmp_path / "run" / "scan.csv")])
+        assert code == cli.EXIT_USAGE
+        err = capsys.readouterr().err
+        assert err.startswith("kho: error: worker process ")
+        assert err.endswith(f" was killed by signal {int(signal.SIGKILL)}\n")
+        assert list((tmp_path / "run").iterdir()) == []
+
+    def test_a_child_whose_parent_dies_stops(self):
+        # the parent dies on its first point; its child, which prints each
+        # point it runs, would otherwise run the other 199, 50 ms each.  The
+        # captured output ends when the child exits too.
+        script = (
+            "import os, signal, time\n"
+            "from kho import cli\n"
+            "parent = os.getpid()\n"
+            "def point(i):\n"
+            "    if os.getpid() == parent:\n"
+            "        os.kill(parent, signal.SIGKILL)\n"
+            "    time.sleep(0.05)\n"
+            "    print(i, flush=True)\n"
+            "cli._map_points(point, list(range(200)), 2)\n")
+        done = run_fresh(script, timeout=60)
+        assert done.returncode == -signal.SIGKILL
+        assert len(done.stdout.split()) <= 2
 
 
 class TestSpectrum:
@@ -306,10 +402,12 @@ class TestBlasThreads:
 
 class TestColdStart:
     def test_light_commands_import_no_scipy_linalg_special_or_constants(self, tmp_path):
-        """resonances and serial spectrum, energy-scan, evolve and qfunc runs
-        use neither Bessel functions, SI constants, a process pool nor the
-        scipy.linalg package, so none of those modules loads, nor scipy's
-        array-API layer: each would add to every cold start.  Only verify loads kho.verify and kho.lattice."""
+        """resonances, a serial spectrum, an energy-scan on every usable CPU
+        (the default, which forks its workers on a multi-core host), evolve
+        and qfunc use neither Bessel functions, SI constants, a process pool
+        nor the scipy.linalg package, so none of those modules loads, nor
+        scipy's array-API layer: each would add to every cold start.  Only
+        verify loads kho.verify and kho.lattice."""
         runs = [["resonances"], ["spectrum", "--dim", "8", "--scan-points", "2"],
                 ["energy-scan", "--dim", "16", "--scan-points", "2", "--kicks", "3"],
                 ["evolve", "--dim", "16", "--kicks", "2"],
@@ -777,6 +875,29 @@ class TestFailedRunLeavesNothing:
         assert capsys.readouterr().err == (
             f"kho: error: [Errno {errno.ENOSPC}] {os.strerror(errno.ENOSPC)}\n")
         assert list(tmp_path.iterdir()) == []
+
+    def test_a_failed_run_keeps_the_file_it_would_replace(self, tmp_path, capsys):
+        keep = tmp_path / "keep.json"
+        keep.write_text("old\n")
+        code = main(["evolve", "--dim", "8", "--kicks", "1", "--state-out", str(keep),
+                     "--out", str(tmp_path / "nod" / "x.csv")])
+        assert code == cli.EXIT_USAGE
+        assert "kho: error:" in capsys.readouterr().err
+        assert keep.read_text() == "old\n"
+        assert [p.name for p in tmp_path.iterdir()] == ["keep.json"]
+
+    def test_a_replaced_file_keeps_its_mode_and_a_symlink_stays_one(self, tmp_path):
+        kept = tmp_path / "kept.json"
+        kept.write_text("old\n")
+        kept.chmod(0o600)
+        link = tmp_path / "link.json"
+        link.symlink_to(kept.name)
+        with output.all_or_nothing():  # the old file moved aside goes at the end
+            output._write(str(kept), "new\n")
+        output._write(str(link), "new\n")
+        assert kept.read_text() == "new\n" and kept.stat().st_mode & 0o777 == 0o600
+        assert link.is_symlink() and sorted(p.name for p in tmp_path.iterdir()) == [
+            "kept.json", "link.json"]
 
     def test_a_path_that_is_not_a_regular_file_is_never_removed(self, tmp_path, capsys,
                                                                monkeypatch):

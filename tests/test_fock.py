@@ -611,8 +611,10 @@ class TestSharedQuadratures:
         assert fock._SHARED_QUADRATURES.get() is None
 
     def test_scans_share_nothing(self, eigh_calls, tmp_path):
-        assert cli.main(["energy-scan", "--scan-points", "3", "--dim", "32", "--kicks", "5",
-                         "--out", str(tmp_path / "scan.csv")]) == cli.EXIT_TRUNCATION
+        # one process: a forked worker's calls do not reach eigh_calls
+        code = cli.main(["energy-scan", "--scan-points", "3", "--dim", "32", "--kicks", "5",
+                         "--threads", "1", "--out", str(tmp_path / "scan.csv")])
+        assert code == cli.EXIT_TRUNCATION
         assert len(eigh_calls) == 3
         assert fock._SHARED_QUADRATURES.get() is None
 

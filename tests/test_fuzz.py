@@ -4,8 +4,9 @@ warning, and a run that writes its CSV (exit 0 or 2) writes only finite
 numbers.
 
 Runs `main()` in-process with a tiny basis so each example takes
-milliseconds.  --threads stays at most 1: a larger value starts a process
-pool, which is covered by the thread tests of test_cli.py.
+milliseconds.  Each run gives --threads, at most 1: a larger value, and on
+energy-scan an omitted one, forks worker processes, which the thread tests
+of test_cli.py cover.
 """
 
 import cmath

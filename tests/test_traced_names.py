@@ -29,8 +29,9 @@ def test_traced_replay_fires_every_counter(tmp_path, capsys):
         assert counters["output.bytes"] == (tmp_path / "evolve.csv").stat().st_size
 
         # kicks_to_energy(dim), through cli._map_points and cli._energy_scan_point
+        # in this process, where the counters are: a forked worker's do not return
         cli.main(["energy-scan", "--dim", "32", "--kicks", "4", "--scan-points", "2",
-                  "--out", str(tmp_path / "scan.csv")])
+                  "--threads", "1", "--out", str(tmp_path / "scan.csv")])
         assert counters["fock.kicks"] > 3
 
         # SpectrumResult.n_discarded, through cli._spectrum_point
