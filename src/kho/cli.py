@@ -263,10 +263,7 @@ def _energy_scan_point(payload):
 
     params, dim, n_max = payload
     res = fock.kicks_to_energy(params, max(ENERGY_TARGETS), n_max, dim=dim)
-    crossings = fock.energy_crossings(res.energies, list(ENERGY_TARGETS))
-    unsafe_before = (res.truncation_unsafe and
-                     any(c is None or res.first_unsafe_kick <= c for c in crossings))
-    return crossings, unsafe_before
+    return fock.energy_crossings(res.energies, list(ENERGY_TARGETS)), res.truncation_unsafe
 
 
 _TOKEN = 4  # bytes per chunk index in the task pipe of _map_points
@@ -277,29 +274,26 @@ _PIPE_TOKENS = 4096 // _TOKEN
 
 def _map_points(worker, payloads, threads):
     """worker(payload) for each payload, results in payload order, run on at
-    most `threads` processes.  One process runs the serial loop and forks
-    nothing.
+    most `threads` processes: this one and up to threads - 1 children, at
+    most one process per payload.  One process forks nothing.
 
-    Otherwise this process forks threads - 1 children once the handler has
-    imported the numerics, so no child imports them again.  The parent and
-    the children pull point indices from one pipe, filled before the fork:
-    a point can cost 20 times another, and a fixed split would leave a
-    process idle.  Each child pickles its (index, result) pairs back through
+    Every process runs the same pull loop: it takes point indices from one
+    pipe, filled before any fork, until the pipe is empty.  A point can cost
+    20 times another, and a fixed split would leave a process idle.  The
+    handler imports the numerics before it calls here, so no child imports
+    them again.  Each child pickles its (index, result) pairs back through
     its own pipe and leaves by os._exit; a child whose parent has died stops
     pulling points and leaves too.  The first failure a process meets
-    empties the index pipe, so the others stop after their current point.
-    The parent reaps every child, also when its own share fails, then raises
-    the lowest-index failure, as the serial loop would; a child that dies
-    before reporting a lower index ends the run in ChildProcessError.  Every
-    point runs the same single-threaded code, so the results do not depend
-    on the process count."""
-    n = len(payloads)
-    threads = min(threads, n)
-    if threads <= 1:
-        return [worker(p) for p in payloads]
+    empties the index pipe, so the others stop after their current point,
+    and a lone process runs no point after a failed one.  The parent reaps
+    every child, also when its own share fails, then raises the lowest-index
+    failure; a child that dies before reporting a lower index ends the run
+    in ChildProcessError.  Every point runs the same single-threaded code,
+    so the results do not depend on the process count."""
     import pickle
 
-    chunk = -(-n // _PIPE_TOKENS)  # points per index: 1 up to 1,024 points
+    n = len(payloads)
+    chunk = max(1, -(-n // _PIPE_TOKENS))  # points per index: 1 up to 1,024 points
     tasks, feed = os.pipe()
     os.write(feed, b"".join(i.to_bytes(_TOKEN, "little") for i in range(0, n, chunk)))
     os.close(feed)  # a read of the emptied pipe then returns b""
@@ -323,7 +317,7 @@ def _map_points(worker, payloads, threads):
 
     children, reports, lost = [], [], []  # (pid, read end of its report pipe)
     try:
-        for _ in range(threads - 1):
+        for _ in range(min(threads, n) - 1):
             report, sink = os.pipe()
             pid = os.fork()
             if pid == 0:
@@ -372,6 +366,8 @@ def _usable_cpus() -> int:
 
 
 def cmd_energy_scan(args) -> int:
+    from . import fock  # noqa: F401  before _map_points forks: no worker imports it
+
     systems = _scan_grid(args)
     results = _map_points(_energy_scan_point,
                           [(params, args.dim, args.kicks) for params in systems],
@@ -406,6 +402,8 @@ def _spectrum_point(payload):
 
 
 def cmd_spectrum(args) -> int:
+    from . import fock  # noqa: F401  before _map_points forks: no worker imports it
+
     payloads = [(params, args.dim) for params in _scan_grid(args)]
     rows = [row for point_rows in _map_points(_spectrum_point, payloads, args.threads)
             for row in point_rows]

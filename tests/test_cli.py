@@ -27,12 +27,13 @@ def data_rows(path):
     return [ln for ln in read_lines(path) if not ln.startswith("#")]
 
 
-def run_fresh(script: str, timeout=None) -> subprocess.CompletedProcess:
-    """script run in a fresh interpreter that imports this kho."""
+def run_fresh(script: str, timeout=None, flags=()) -> subprocess.CompletedProcess:
+    """script run in a fresh interpreter, given the interpreter options in
+    flags, that imports this kho."""
     src = os.path.dirname(os.path.dirname(kho.__file__))
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
-    return subprocess.run([sys.executable, "-c", script], env=env,
+    return subprocess.run([sys.executable, *flags, "-c", script], env=env,
                           capture_output=True, text=True, timeout=timeout)
 
 
@@ -252,10 +253,34 @@ class TestEnergyScan:
         row = data_rows(out)[1].split(",")
         assert row[1] == "-1" and row[2] == "-1"
 
+    @pytest.mark.parametrize("kicks, row, first_unsafe", [
+        (48, "45,-1", None), (60, "45,-1", 49), (120, "45,89", 49)])
+    def test_a_point_is_flagged_by_its_propagation(self, tmp_path, capsys,
+                                                   kicks, row, first_unsafe):
+        # at eta^2 = pi, D = 500 the leak passes its tolerance at kick 49,
+        # after E=50 (kick 45) and before E=200 (kick 89): a point is flagged
+        # when its propagation ran past kick 49, whichever targets it reached
+        params = model.SystemParams(r=1, q=4, kappa=-0.8, eta_sq=math.pi)
+        res = fock.kicks_to_energy(params, 200.0, kicks, dim=500)
+        assert res.first_unsafe_kick == first_unsafe
+        out = tmp_path / "scan.csv"
+        code = main(["energy-scan", "--scan-min", "pi", "--scan-max", "pi",
+                     "--scan-points", "1", "--dim", "500", "--kicks", str(kicks),
+                     "--out", str(out)])
+        assert data_rows(out)[1] == f"3.1415926535897931,{row}"
+        flags = [ln for ln in read_lines(out) if "warning" in ln]
+        err = capsys.readouterr().err
+        if first_unsafe is None:
+            assert (code, flags, err) == (cli.EXIT_OK, [], "")
+        else:
+            assert code == cli.EXIT_TRUNCATION
+            assert flags == ["# warning: truncation-unsafe points (indices): 0"]
+            assert err == "kho energy-scan: 1 truncation-unsafe points\n"
+
     def test_threads_match_serial(self, tmp_path, no_child_left):
         # points that stop at E=200 after 89 kicks or run the 400-kick budget:
         # the default (one process per usable CPU), and more processes than
-        # points on any host, give the bytes of the serial loop
+        # points on any host, give the bytes of one process
         argv = ["energy-scan", "--scan-min", "0.8*pi", "--scan-max", "1.2*pi",
                 "--scan-points", "5", "--dim", "500", "--kicks", "400"]
         outputs = []
@@ -277,15 +302,53 @@ def _wait_for(path, timeout=60.0):
         time.sleep(0.005)
 
 
+def _no_fork():
+    raise AssertionError("os.fork called")
+
+
 class TestForkedWorkers:
-    """_map_points with more than one process: results come back in order, a
-    failure anywhere ends the run as the serial loop's would, and every child
+    """_map_points on one process or more: results come back in order, a
+    failure anywhere ends the run as it would on one process, and every child
     is reaped (the no_child_left fixture)."""
 
     def test_a_scan_longer_than_the_index_pipe_is_sent_in_chunks(self, no_child_left):
         # 20,000 four-byte indices would overfill a 64 KiB pipe before the fork
         payloads = list(range(20_000))
         assert cli._map_points(lambda i: i * i, payloads, 3) == [i * i for i in payloads]
+
+    def test_no_payload_gives_no_result(self, monkeypatch, no_child_left):
+        monkeypatch.setattr(os, "fork", _no_fork)
+        assert cli._map_points(lambda i: i, [], 3) == []
+
+    def test_more_processes_than_points_fork_one_child_per_point_but_one(
+            self, monkeypatch, no_child_left):
+        forks, fork = [], os.fork
+
+        def counted():
+            forks.append(os.getpid())
+            return fork()
+
+        monkeypatch.setattr(os, "fork", counted)
+        assert cli._map_points(lambda i: -i, [1, 2, 3], 8) == [-1, -2, -3]
+        assert forks == [os.getpid()] * 2
+
+    def test_one_process_forks_nothing(self, monkeypatch, no_child_left):
+        monkeypatch.setattr(os, "fork", _no_fork)
+        assert cli._map_points(lambda i: i * i, list(range(5)), 1) == [0, 1, 4, 9, 16]
+
+    def test_one_process_runs_no_point_after_a_failed_one(self, monkeypatch, no_child_left):
+        monkeypatch.setattr(os, "fork", _no_fork)
+        called = []
+
+        def point(i):
+            called.append(i)
+            if i == 2:
+                raise ValueError(f"point {i}")
+            return i
+
+        with pytest.raises(ValueError, match="^point 2$"):
+            cli._map_points(point, list(range(5)), 1)
+        assert called == [0, 1, 2]
 
     @pytest.fixture
     def marker(self, tmp_path):
@@ -462,6 +525,22 @@ class TestColdStart:
         assert done.returncode == 0, done.stderr
         mapped = done.stdout.splitlines()
         assert len(mapped) == 1 and mapped[0] in {os.path.realpath(p) for p in numpy_openblas}
+
+    @pytest.mark.parametrize("argv", [
+        ["energy-scan", "--dim", "16", "--kicks", "2", "--scan-points", "2", "--threads", "2"],
+        ["spectrum", "--dim", "16", "--scan-points", "2", "--threads", "2"]])
+    def test_a_forked_scan_imports_the_numerics_once(self, tmp_path, argv):
+        """The handler imports kho.fock before its workers fork, so no worker
+        imports it again: -X importtime lists it once, not once per process."""
+        script = (
+            "import sys\n"
+            "from kho.cli import main\n"
+            f"sys.exit(main({argv + ['--out', str(tmp_path / 'scan.csv')]!r}))\n")
+        done = run_fresh(script, flags=("-X", "importtime"))
+        assert done.returncode in (0, cli.EXIT_TRUNCATION), done.stderr
+        imports = [ln.rpartition("|")[2].strip() for ln in done.stderr.splitlines()
+                   if ln.startswith("import time:")]
+        assert imports.count("kho.fock") == 1
 
     def test_resonances_help_and_usage_errors_load_no_numerics(self, tmp_path):
         """The resonance table is plain arithmetic in kho.model, and --help and
