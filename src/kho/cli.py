@@ -182,7 +182,7 @@ def cmd_evolve(args) -> int:
     extra = []
     if result.truncation_unsafe:
         extra.append(f"warning: truncation-unsafe from kick {result.first_unsafe_kick}")
-    if args.state_out:
+    if args.state_out is not None:
         amps = [[a.real, a.imag] for a in result.state.amps]
         output._write(args.state_out, json.dumps(
             {"schema": output.SCHEMA_VERSION, "dim": result.state.dim, "amps": amps}))
@@ -422,7 +422,7 @@ def cmd_resonances(args) -> int:
         entry["z_values"] = model.z_values(q)
         table[str(q)] = entry
     text = json.dumps(table, indent=2)
-    if args.out:
+    if args.out is not None:
         output._write(args.out, text + "\n")
     else:
         print(text)

@@ -84,9 +84,6 @@ class FockVector:
     def dim(self) -> int:
         return self.amps.shape[0]
 
-    def norm(self) -> float:
-        return float(np.linalg.norm(self.amps))
-
 
 @dataclass
 class EvolveResult:
@@ -296,8 +293,6 @@ def kick_expansion_matrix(params: SystemParams, dim: int) -> np.ndarray:
     kc = specfun.k_cutoff(params.zeta)
     out = np.zeros((dim, dim), dtype=complex)
     for k, jk in zip(range(-kc, kc + 1), specfun.bessel_range(params.zeta, -kc, kc).tolist()):
-        if jk == 0.0:
-            continue
         out += (1j) ** k * jk * specfun.displacement_matrix(1j * k * params.eta, dim)
     return out
 

@@ -85,10 +85,10 @@ def max_difference(a: LatticeState, b: LatticeState) -> float:
     return float(np.abs(diff).max(initial=0.0))
 
 
-def step(state: LatticeState, eps: float = EPS_LAT) -> LatticeState:
+def step(state: LatticeState) -> LatticeState:
     """Advance the coefficient lattice by one kick: each source column n0 is
     convolved with i^k J_k(zeta) e^{i k n0 w}, |k| <= k_cutoff(zeta), into
-    target row -n0; coefficients below eps are dropped after the full sum."""
+    target row -n0; coefficients below EPS_LAT are dropped after the full sum."""
     params = state.params
     xi = XI_Q[params.q]
     kc = specfun.k_cutoff(params.zeta)
@@ -103,7 +103,7 @@ def step(state: LatticeState, eps: float = EPS_LAT) -> LatticeState:
     kernels = wk * np.exp(1j * w * (n0[:, None] * k))
     for c, start in enumerate(xi * n0 - lead):
         out[c, start:start + rows + 2 * kc] = np.convolve(state.coeffs[:, c], kernels[c])
-    out[np.abs(out) < eps] = 0
+    out[np.abs(out) < EPS_LAT] = 0
     return LatticeState(alpha=state.alpha, j=state.j + 1, params=params, coeffs=out[::-1],
                         origin=(1 - cols - state.origin[1], state.origin[0] - kc + lead))
 

@@ -97,15 +97,13 @@ class ResonanceClass:
 def z_values(q: int) -> list[float]:
     """Distinct nonzero values of |sin(2*pi*j/q)|, j = 0..q-1.
 
-    Quantum resonances require all of these to coincide, which happens only
-    for q in {3, 4, 6}.
+    j and q - j give the same value, and for even q so do j and q/2 - j, so
+    j = 1..q//2 for odd q, or j = 1..q//4 for even q, gives each value once,
+    at its smallest j.  Quantum resonances require all of these to coincide,
+    which happens only for q in {3, 4, 6}.
     """
-    vals: list[float] = []
-    for j in range(q):
-        z = abs(math.sin(2.0 * math.pi * j / q))
-        if z > 1e-12 and not any(abs(z - v) < 1e-12 for v in vals):
-            vals.append(z)
-    return sorted(vals)
+    top = q // 2 if q % 2 else q // 4
+    return sorted(abs(math.sin(2.0 * math.pi * j / q)) for j in range(1, top + 1))
 
 
 def resonant_values(q: int) -> ResonanceClass:

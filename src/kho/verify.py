@@ -6,7 +6,7 @@ phase-space symmetry commutators.
 
 `run(level)` executes the quick suite (about 0.12 s on a 2-core Xeon host,
 the first run in a process that has imported kho) or the full suite (about
-0.5 s) and returns per-check results with measured values.  It runs the
+0.44 s) and returns per-check results with measured values.  It runs the
 checks one eta^2 at a time, in one `fock.shared_quadratures()` block per
 eta^2: each quadrature is diagonalized once, and the spectra of an eta^2
 are dropped before the checks of the next one start.
@@ -165,26 +165,19 @@ def check_q6_cycle() -> CheckResult:
     return _check("q=6 three-step cycle vs stepped mapping", worst, 1e-10)
 
 
-def cross_representation_fidelity(params: model.SystemParams,
-                                  state: lattice.LatticeState, dim: int) -> float:
-    """Fidelity between the ground state propagated by params on the Fock
-    route and the lattice state after the same number of kicks, both in a
-    dim-state basis.  params is given apart from state.params, so a lattice
-    state built for another system fails the check."""
-    ev = fock.evolve(fock.ground_state(dim), params, state.j)
-    return fock.fidelity(ev.state, lattice.to_fock(state, dim).state)
-
-
-def _q4_fidelity_case() -> CheckResult:
-    """The quick suite's one cross-representation case: Q4 at D=512."""
-    fid = cross_representation_fidelity(Q4, lattice.steps(lattice.from_params(0.0, Q4), 12), 512)
-    return _check("fock/lattice fidelity q=4 N=12 (D=512)", fid, 0.999, larger_is_better=True)
-
-
 def _cross_representation_case(tag: str, params: model.SystemParams) -> CheckResult:
-    # the lattice state does not depend on D: one evolution per case
+    """Fidelity between the ground state propagated by params on the Fock
+    route and the lattice state after 12 kicks, at the basis size the
+    doubling rule accepts.  The Fock route reads params, not state.params,
+    so a lattice state built for another system fails the check."""
+    # the lattice state does not depend on D: one walk per case
     state = lattice.steps(lattice.from_params(0.0, params), 12)
-    res = fock.doubling_rule(lambda d: cross_representation_fidelity(params, state, d))
+
+    def fidelity(dim: int) -> float:
+        ev = fock.evolve(fock.ground_state(dim), params, state.j)
+        return fock.fidelity(ev.state, lattice.to_fock(state, dim).state)
+
+    res = fock.doubling_rule(fidelity)
     return _check(
         f"fock/lattice fidelity q={params.q} eta2={tag} N=12 (D={res.dim})",
         res.value, 0.999, larger_is_better=True,
@@ -213,14 +206,12 @@ def _schedule(level: str) -> list[tuple[float | None, Callable]]:
     or a tuple of them."""
     quick = level == "quick"
     amp_cases, amp_dim, comm_dim = (((4, 2),), 128, 256) if quick else (AMPLIFIED, 256, 512)
+    fid_cases = (("principal", Q4),) if quick else CRYSTAL_CASES
     schedule = [(None, check_resonant_table), (None, check_graf_closure),
                 (Q4.eta_sq, check_axis_product), (Q4.eta_sq, check_kick_expansion),
                 (None, check_q4_closed_form), (None, check_q6_cycle)]
-    if quick:
-        schedule.append((Q4.eta_sq, _q4_fidelity_case))
-    else:
-        schedule += [(params.eta_sq, partial(_cross_representation_case, tag, params))
-                     for tag, params in CRYSTAL_CASES]
+    schedule += [(params.eta_sq, partial(_cross_representation_case, tag, params))
+                 for tag, params in fid_cases]
     schedule += [(_principal(q).eta_sq, partial(_amplified_case, _principal(q), v, amp_dim))
                  for q, v in amp_cases]
     schedule += [(params.eta_sq, partial(_commutator_case, tag, params, comm_dim))

@@ -23,7 +23,9 @@ assembled from parity blocks (the implementation slices each block).  The
 band-gap statistic of acceptance criterion 9 and the commutation phase of
 two kick displacements live here too, as only tests use them, and so does
 a dict view of a lattice state, {(m, n): M_{m,n}}, for tests that read or
-build coefficients one by one.
+build coefficients one by one.  The distinct z_n values come from comparing
+each |sin(2 pi j/q)|, j = 0..q-1, with every value already kept (the
+implementation takes the j that give each value once).
 """
 
 import math
@@ -273,3 +275,14 @@ def commutation_phase(eta_sq: float, q: int, r: int, k_m: int, k_n: int, dj: int
         raise ValueError("dj must lie in 0..q-1")
     arg = 2.0 * eta_sq * k_m * k_n * math.sin(2.0 * math.pi * r * dj / q)
     return complex(math.cos(arg), -math.sin(arg))
+
+
+def z_values_search(q: int) -> list[float]:
+    """Distinct nonzero |sin(2 pi j/q)|, j = 0..q-1, each kept at the first j
+    to give it, up to 1e-12."""
+    vals: list[float] = []
+    for j in range(q):
+        z = abs(math.sin(2.0 * math.pi * j / q))
+        if z > 1e-12 and not any(abs(z - v) < 1e-12 for v in vals):
+            vals.append(z)
+    return sorted(vals)

@@ -621,21 +621,38 @@ class TestResonances:
 
 
 class TestVerify:
+    #: the names of the checks both levels run first, in their order
+    LEADING = [
+        "resonant-value table q=1..8",
+        "Graf closure (100 random triples + alpha=pi)",
+        "q-axis product vs F^q (D=128, full matrix)",
+        "kick spectral vs displacement expansion (D=256, block=64)",
+        "lattice mapping vs closed form (q=4, N=2..8)",
+        "resonant phase pattern (-1)^{mn} i^{m+n}",
+        "q=6 three-step cycle vs stepped mapping",
+    ]
+
     def test_quick_passes(self, capsys):
         assert main(["verify", "--verify-level", "quick"]) == 0
         out = capsys.readouterr().out
         assert "FAIL" not in out
         assert out.splitlines()[-1] == "15/15 checks passed"
 
+    def test_quick_level_runs_every_check(self):
+        names = [
+            *self.LEADING,
+            "fock/lattice fidelity q=4 eta2=principal N=12 (D=256)",
+            "amplified kick q=4 v=2 vs F^(qv) (D=128, block=10)",
+            *(f"[F^q, D(gamma)] q={q} eta2={tag} (D=256)"
+              for q in (3, 4, 6) for tag in ("principal", "phi*pi")),
+        ]
+        checks = verify.run("quick")
+        assert [c.name for c in checks] == names
+        assert all(c.passed and not c.note for c in checks), [c.line() for c in checks]
+
     def test_full_level_runs_every_check(self):
         names = [
-            "resonant-value table q=1..8",
-            "Graf closure (100 random triples + alpha=pi)",
-            "q-axis product vs F^q (D=128, full matrix)",
-            "kick spectral vs displacement expansion (D=256, block=64)",
-            "lattice mapping vs closed form (q=4, N=2..8)",
-            "resonant phase pattern (-1)^{mn} i^{m+n}",
-            "q=6 three-step cycle vs stepped mapping",
+            *self.LEADING,
             *(f"fock/lattice fidelity q={q} eta2={tag} N=12 (D=256)"
               for q in (3, 4, 6) for tag in ("principal", "phi*pi")),
             "amplified kick q=4 v=2 vs F^(qv) (D=256, block=64)",
@@ -856,14 +873,19 @@ class TestUsageErrors:
         ["evolve", "--dim", "32", "--kicks", "1", "--out", "{missing}/x.csv",
          "--state-out", "{tmp}/s.json"],
         ["qfunc", "--alpha", "50", "--dim", "6", "--out", "{tmp}/panels"],  # a failed panel run
+        # an empty path names no file: it fails, never falls back to stdout or to no file
+        ["resonances", "--out", ""],
+        ["evolve", "--dim", "32", "--kicks", "1", "--out", "{tmp}/x.csv", "--state-out", ""],
     ])
-    def test_unwritable_output_is_clean_usage_error(self, tmp_path, capsys, argv):
+    def test_unwritable_output_is_clean_usage_error(self, tmp_path, capsys, monkeypatch, argv):
+        monkeypatch.chdir(tmp_path)  # a relative path resolves inside tmp_path
         (tmp_path / "file").write_text("")
         paths = {"missing": tmp_path / "missing", "tmp": tmp_path, "file": tmp_path / "file"}
         code = main([arg.format(**paths) for arg in argv])
         assert code == cli.EXIT_USAGE
-        err = capsys.readouterr().err
-        assert "kho: error:" in err
+        captured = capsys.readouterr()
+        assert "kho: error:" in captured.err
+        assert captured.out == ""
         # a failed run writes nothing: no trace beside a state it could not write
         assert sorted(p.name for p in tmp_path.iterdir()) == ["file"]
 

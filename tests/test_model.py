@@ -14,7 +14,7 @@ from kho.model import (
     z_values,
 )
 
-from oracles import commutation_phase
+from oracles import commutation_phase, z_values_search
 
 PHI = model.GOLDEN_RATIO
 
@@ -55,6 +55,16 @@ class TestResonantValues:
         assert z_values(4) == pytest.approx([1.0])
         assert len(z_values(5)) == 2
         assert z_values(6) == pytest.approx([math.sqrt(3) / 2])
+
+    def test_z_values_match_the_search_over_every_j(self):
+        assert [z_values(q) for q in range(1, 1201)] == [z_values_search(q)
+                                                        for q in range(1, 1201)]
+
+    def test_z_values_of_large_odd_q_are_all_distinct(self):
+        # odd q: one value for each j = 1..(q-1)/2, the closest 9.9e-10 apart
+        vals = z_values(100003)
+        assert len(vals) == 50001
+        assert min(b - a for a, b in zip(vals, vals[1:])) > 9e-10
 
 
 class TestCommutationPhase:
