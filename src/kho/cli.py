@@ -413,26 +413,37 @@ def cmd_spectrum(args) -> int:
     return EXIT_OK
 
 
+def _resonance_json(q_min: int, q_max: int):
+    """json.dumps(table, indent=2) + "\n" of the q = q_min..q_max table, one
+    q per chunk, so no more than one q's z_n is held at a time.  Nothing is
+    yielded before the first q passes model's checks, and every later q
+    passes them too, so a bad --q-min writes nothing."""
+    sep = "{\n"
+    for q in range(q_min, q_max + 1):
+        entry = asdict(model.resonant_values(q))
+        entry["z_values"] = model.z_values(q)
+        yield f'{sep}  "{q}": ' + json.dumps(entry, indent=2).replace("\n", "\n  ")
+        sep = ",\n"
+    yield "\n}\n"
+
+
 def cmd_resonances(args) -> int:
     if args.q_min > args.q_max:
         raise ValueError(f"--q-min {args.q_min} exceeds --q-max {args.q_max}")
-    table = {}
-    for q in range(args.q_min, args.q_max + 1):
-        entry = asdict(model.resonant_values(q))
-        entry["z_values"] = model.z_values(q)
-        table[str(q)] = entry
-    text = json.dumps(table, indent=2)
+    chunks = _resonance_json(args.q_min, args.q_max)
     if args.out is not None:
-        output._write(args.out, text + "\n")
+        output._write(args.out, chunks)
     else:
-        print(text)
+        sys.stdout.writelines(chunks)
     return EXIT_OK
 
 
 def cmd_verify(args) -> int:
-    from . import verify
+    from . import verify  # before _map_points forks: no worker imports it
 
-    checks = verify.run(args.verify_level)
+    # its eta^2 groups on every usable CPU, at most one process per group
+    checks = verify.run(args.verify_level,
+                        lambda fn, groups: _map_points(fn, groups, _usable_cpus()))
     for c in checks:
         print(c.line())
     n_fail = sum(not c.passed for c in checks)

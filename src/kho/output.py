@@ -55,10 +55,12 @@ def all_or_nothing():
                 os.remove(args[0])
 
 
-def _write(path, text: str) -> None:
-    """Write text to path: the one place kho opens a file for writing.  The
-    new file takes a replaced file's permission bits; through a symlink, the
-    file it names is replaced."""
+def _write(path, text) -> None:
+    """Write text, a string or an iterable of strings written in turn, to
+    path: the one place kho opens a file for writing.  The new file takes a
+    replaced file's permission bits; through a symlink, the file it names is
+    replaced."""
+    chunks = (text,) if isinstance(text, str) else text
     target = os.path.realpath(path)
     try:
         st = os.stat(target)
@@ -67,7 +69,8 @@ def _write(path, text: str) -> None:
     # "dir/" names no regular file: open() raises its error (EISDIR, ENOTDIR)
     if path.endswith(os.sep) or (st is not None and not stat.S_ISREG(st.st_mode)):
         with open(path, "w") as fh:
-            fh.write(text)
+            for chunk in chunks:
+                fh.write(chunk)
         return
     head, name = os.path.split(target)
     tmp, old = (os.path.join(head, f".{name}.{os.getpid()}.{ext}") for ext in ("tmp", "old"))
@@ -80,7 +83,8 @@ def _write(path, text: str) -> None:
         with fh:
             if st is not None:
                 os.chmod(tmp, stat.S_IMODE(st.st_mode))
-            fh.write(text)
+            for chunk in chunks:
+                fh.write(chunk)
         if made is not None and st is not None:
             os.replace(target, old)
             made.append((_restore, old, target))

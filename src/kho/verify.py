@@ -4,12 +4,21 @@ displacement expansion of the kick, amplified-kick equivalence, the lattice
 mapping against its closed forms, cross-representation fidelity, and the
 phase-space symmetry commutators.
 
-`run(level)` executes the quick suite (about 0.12 s on a 2-core Xeon host,
-the first run in a process that has imported kho) or the full suite (about
-0.44 s) and returns per-check results with measured values.  It runs the
-checks one eta^2 at a time, in one `fock.shared_quadratures()` block per
-eta^2: each quadrature is diagonalized once, and the spectra of an eta^2
-are dropped before the checks of the next one start.
+`run(level)` executes the quick suite or the full suite and returns
+per-check results with measured values.  It splits the checks into four
+groups, one per eta^2 (pi, 2pi/sqrt3, phi*pi) and one of the checks that
+diagonalize no quadrature, and runs each group in one
+`fock.shared_quadratures()` block: each quadrature is diagonalized once, and
+a group's spectra are dropped before the next group starts in that
+process, so no process holds more than one eta^2's spectra.  By default
+the groups run one after another in the calling process; `kho verify`
+runs them on every usable CPU, one group per forked process at a time,
+heaviest first.  A group's first run in a fresh process (median of 3,
+2-core Xeon host) took at full phi*pi 0.27 s, 2pi/sqrt3 0.20 s, pi 0.18 s
+and the rest 0.047 s, and at quick pi 0.10 s, the rest 0.045 s, phi*pi
+0.030 s and 2pi/sqrt3 0.023 s.  Run again in a process that had run it
+once, the full suite took a median 0.69 s in one process and 0.44 s on
+two, the quick one 0.18 and 0.12 s.
 """
 
 from __future__ import annotations
@@ -219,29 +228,51 @@ def _schedule(level: str) -> list[tuple[float | None, Callable]]:
     return schedule
 
 
-def run(level: str = "quick") -> list[CheckResult]:
+#: the eta^2 of each level's check groups, None for the checks that
+#: diagonalize no quadrature, heaviest first (the times are in the module
+#: docstring): a process that frees up takes the heaviest group left
+_HEAVIEST_FIRST = {
+    "quick": (Q4.eta_sq, None, model.GOLDEN_RATIO * math.pi, _principal(3).eta_sq),
+    "full": (model.GOLDEN_RATIO * math.pi, _principal(3).eta_sq, Q4.eta_sq, None),
+}
+
+
+def _run_group(schedule, eta_sq) -> list[tuple[int, tuple[CheckResult, ...]]]:
+    """(schedule index, results) of each check of the schedule whose
+    quadratures have eta_sq, in schedule order, run in one
+    shared_quadratures() block and each timed on its own."""
+    done = []
+    with fock.shared_quadratures():
+        for i, (key, check) in enumerate(schedule):
+            if key == eta_sq:
+                t0 = time.perf_counter()
+                res = check()
+                seconds = time.perf_counter() - t0
+                res = res if isinstance(res, tuple) else (res,)
+                for r in res:
+                    r.seconds = seconds
+                done.append((i, res))
+    return done
+
+
+def run(level: str = "quick", map_groups=map) -> list[CheckResult]:
     """Run the verification suite; `level` is 'quick' or 'full'.
 
-    The checks run one eta^2 at a time, each eta^2 in its own
-    shared_quadratures() block: the checks that diagonalize no quadrature
-    first, then those of each eta^2 in the order it first appears (pi,
-    2pi/sqrt3, phi*pi).  Within a block each quadrature is diagonalized
-    once, and its spectrum is dropped when the block ends, so the suite
-    holds the spectra of one eta^2 at a time.  Each check measures bitwise
-    what it measures when run alone, and the results come back in the
-    schedule's order, each timed on its own."""
+    The checks run in four groups, one per eta^2 and one of the checks that
+    diagonalize no quadrature, each group in its own shared_quadratures()
+    block.  Within a block each quadrature is diagonalized once, and its
+    spectrum is dropped when the block ends, so a process holds the spectra
+    of one eta^2 at a time.  map_groups(fn, groups) calls fn on each group,
+    heaviest first (_HEAVIEST_FIRST), and returns its results in that
+    order: the built-in map runs them one after another in this process,
+    and `kho verify` passes cli._map_points on every usable CPU.  A check
+    that raises ends the run with its error as map_groups reports it.  Each
+    check measures bitwise what it measures when run alone, and the results
+    come back in the schedule's order, each timed on its own."""
     if level not in ("quick", "full"):
         raise ValueError("level must be 'quick' or 'full'")
     schedule = _schedule(level)
-    results = [None] * len(schedule)
-    for eta_sq in dict.fromkeys(key for key, _ in schedule):
-        with fock.shared_quadratures():
-            for i, (key, check) in enumerate(schedule):
-                if key == eta_sq:
-                    t0 = time.perf_counter()
-                    res = check()
-                    seconds = time.perf_counter() - t0
-                    results[i] = res if isinstance(res, tuple) else (res,)
-                    for r in results[i]:
-                        r.seconds = seconds
-    return [r for res in results for r in res]
+    groups = sorted(dict.fromkeys(key for key, _ in schedule), key=_HEAVIEST_FIRST[level].index)
+    results = dict(pair for done in map_groups(partial(_run_group, schedule), groups)
+                   for pair in done)
+    return [r for i in range(len(schedule)) for r in results[i]]

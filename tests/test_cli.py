@@ -4,6 +4,7 @@ import errno
 import json
 import math
 import os
+import re
 import signal
 import subprocess
 import sys
@@ -527,20 +528,29 @@ class TestColdStart:
         assert len(mapped) == 1 and mapped[0] in {os.path.realpath(p) for p in numpy_openblas}
 
     @pytest.mark.parametrize("argv", [
-        ["energy-scan", "--dim", "16", "--kicks", "2", "--scan-points", "2", "--threads", "2"],
-        ["spectrum", "--dim", "16", "--scan-points", "2", "--threads", "2"]])
+        ["energy-scan", "--dim", "16", "--kicks", "2", "--scan-points", "2", "--threads", "2",
+         "--out", "{tmp}/scan.csv"],
+        ["spectrum", "--dim", "16", "--scan-points", "2", "--threads", "2",
+         "--out", "{tmp}/scan.csv"],
+        ["verify", "--verify-level", "quick"]])
     def test_a_forked_scan_imports_the_numerics_once(self, tmp_path, argv):
-        """The handler imports kho.fock before its workers fork, so no worker
-        imports it again: -X importtime lists it once, not once per process."""
+        """The handler imports kho.fock, and verify kho.verify and
+        kho.lattice, before its workers fork, so no worker imports them
+        again: -X importtime lists each once, not once per process.  verify
+        runs on four processes here, whatever the host's CPUs."""
+        argv = [arg.format(tmp=tmp_path) for arg in argv]
         script = (
             "import sys\n"
-            "from kho.cli import main\n"
-            f"sys.exit(main({argv + ['--out', str(tmp_path / 'scan.csv')]!r}))\n")
+            "from kho import cli\n"
+            "cli._usable_cpus = lambda: 4\n"
+            f"sys.exit(cli.main({argv!r}))\n")
         done = run_fresh(script, flags=("-X", "importtime"))
         assert done.returncode in (0, cli.EXIT_TRUNCATION), done.stderr
         imports = [ln.rpartition("|")[2].strip() for ln in done.stderr.splitlines()
                    if ln.startswith("import time:")]
-        assert imports.count("kho.fock") == 1
+        numerics = ("kho.fock", "kho.verify", "kho.lattice") if argv[0] == "verify" else (
+            "kho.fock",)
+        assert [imports.count(name) for name in numerics] == [1] * len(numerics)
 
     def test_resonances_help_and_usage_errors_load_no_numerics(self, tmp_path):
         """The resonance table is plain arithmetic in kho.model, and --help and
@@ -717,6 +727,60 @@ class TestVerify:
         assert [len(e) for e in etas] == [1, 1, 1]
         eta2s = (math.pi, 2 * math.pi / math.sqrt(3), model.GOLDEN_RATIO * math.pi)
         assert set().union(*etas) == {math.sqrt(x) for x in eta2s}
+
+    @staticmethod
+    def untimed(text):
+        """text without each line's (N.NNNs) timing."""
+        return re.sub(r" \([0-9.]+s\)", "", text)
+
+    @pytest.fixture
+    def forks(self, monkeypatch):
+        """kho verify on four processes, whatever the host's CPUs: the pids
+        that called os.fork."""
+        forks, fork = [], os.fork
+
+        def counted():
+            forks.append(os.getpid())
+            return fork()
+
+        monkeypatch.setattr(cli, "_usable_cpus", lambda: 4)
+        monkeypatch.setattr(os, "fork", counted)
+        return forks
+
+    @pytest.mark.parametrize("level", ["quick", "full"])
+    def test_forked_lines_match_one_process(self, capsys, forks, no_child_left, level):
+        # each eta^2 group on a process of its own: the lines of one process
+        assert main(["verify", "--verify-level", level]) == cli.EXIT_OK
+        out = capsys.readouterr().out
+        assert forks == [os.getpid()] * 3
+        checks = verify.run(level)
+        assert len(forks) == 3  # in-process run() forks nothing
+        assert self.untimed(out) == self.untimed("".join(
+            c.line() + "\n" for c in checks) + f"{len(checks)}/{len(checks)} checks passed\n")
+
+    def test_one_usable_cpu_forks_nothing(self, capsys, monkeypatch, no_child_left):
+        monkeypatch.setattr(cli, "_usable_cpus", lambda: 1)
+        monkeypatch.setattr(os, "fork", _no_fork)
+        assert main(["verify", "--verify-level", "quick"]) == cli.EXIT_OK
+        assert capsys.readouterr().out.splitlines()[-1] == "15/15 checks passed"
+
+    @pytest.mark.parametrize("level", ["quick", "full"])
+    def test_a_check_that_raises_ends_a_forked_run_as_one_process(
+            self, capsys, monkeypatch, forks, no_child_left, level):
+        # every commutator check raises, in each eta^2 group and process: the
+        # forked run reports the error one process meets first
+        def fail(tag, params, dim):
+            raise ValueError(f"commutator q={params.q} eta2={tag}")
+
+        monkeypatch.setattr(verify, "_commutator_case", fail)
+        assert main(["verify", "--verify-level", level]) == cli.EXIT_USAGE
+        forked = capsys.readouterr()
+        assert len(forks) == 3
+        monkeypatch.setattr(cli, "_usable_cpus", lambda: 1)
+        assert main(["verify", "--verify-level", level]) == cli.EXIT_USAGE
+        assert len(forks) == 3
+        first = "q=4 eta2=principal" if level == "quick" else "q=3 eta2=phi*pi"
+        assert forked == capsys.readouterr() == ("", f"kho: error: commutator {first}\n")
 
     def test_skewed_zeta_fails_cross_representation(self, capsys, monkeypatch):
         # a lattice route 5% off in zeta must fail the fidelity check

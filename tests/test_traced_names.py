@@ -16,7 +16,7 @@ sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "perfbench"))
 import spans  # noqa: E402
 
 
-def test_traced_replay_fires_every_counter(tmp_path, capsys):
+def test_traced_replay_fires_every_counter(tmp_path, capsys, monkeypatch):
     tracer = spans.Tracer()
     counters = tracer.counters
     tracer.install("tier1")
@@ -45,7 +45,8 @@ def test_traced_replay_fires_every_counter(tmp_path, capsys):
                   "--out", str(tmp_path / "q.csv")])
         assert counters["output.bytes"] == written + (tmp_path / "q.csv").stat().st_size
 
-        # lattice.step(state)
+        # lattice.step(state), on one process, where the counters are
+        monkeypatch.setattr(cli, "_usable_cpus", lambda: 1)
         assert cli.main(["verify"]) == cli.EXIT_OK
         assert counters["lattice.step.coeffs"] > 0
 
