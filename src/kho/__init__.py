@@ -4,10 +4,11 @@ observables.
 
 Importing kho pins OpenBLAS to one thread unless OPENBLAS_NUM_THREADS is
 already set.  The kernels are D/2 x D/2 parity blocks, too small to gain from
-a second BLAS thread.  A scan's worker processes (`energy-scan` runs one per
-usable CPU by default, `--threads N` sets the count) fork from the CLI
-process and keep its setting, and each point runs the same single-threaded
-code, so output bytes do not depend on the core count.
+a second BLAS thread.  A scan's worker processes (`energy-scan` and
+`spectrum` each run one per usable CPU by default, `--threads N` sets the
+count) fork from the CLI process and keep its setting, and each point runs
+the same single-threaded code, so output bytes do not depend on the core
+count.
 
 The package imports none of its submodules: `from kho import fock` loads
 fock and what it uses, and `kho.cli` loads only `model` and `output` until a

@@ -145,8 +145,8 @@ def build_parser() -> argparse.ArgumentParser:
     pp.add_argument("--scan-min", default="0.2*pi")
     pp.add_argument("--scan-max", default="1.8*pi")
     pp.add_argument("--scan-points", type=_int_at_least(1), default=161)
-    pp.add_argument("--threads", type=_int_at_least(1), default=1,
-                    help="processes (default 1: concurrent dense eigensolves do not overlap)")
+    pp.add_argument("--threads", type=_int_at_least(1), default=None,
+                    help="processes (default: every usable CPU, at most one per point)")
     pp.add_argument("--out", default="spectrum.csv")
 
     pr = sub.add_parser("resonances", help="resonance table and z_n enumeration")
@@ -289,7 +289,15 @@ def _map_points(worker, payloads, threads):
     every child, also when its own share fails, then raises the lowest-index
     failure; a child that dies before reporting a lower index ends the run
     in ChildProcessError.  Every point runs the same single-threaded code,
-    so the results do not depend on the process count."""
+    so the results do not depend on the process count.
+
+    A forked run places each process on a CPU of its own as it starts: the
+    kernel often starts a child on its parent's CPU and leaves both there for
+    the whole run.  Slot 0, this process, and slot i, the i-th child, each
+    move onto cpus[slot % len(cpus)], cpus = sorted(os.sched_getaffinity(0)),
+    then restore the mask they read, so the kernel can still balance them.
+    A process whose os.sched_setaffinity is missing or raises OSError stays
+    where the kernel put it."""
     import pickle
 
     n = len(payloads)
@@ -299,6 +307,14 @@ def _map_points(worker, payloads, threads):
     os.close(feed)  # a read of the emptied pipe then returns b""
 
     parent = os.getpid()
+
+    def place(slot):
+        try:
+            mask = os.sched_getaffinity(0)
+            os.sched_setaffinity(0, {sorted(mask)[slot % len(mask)]})
+            os.sched_setaffinity(0, mask)
+        except (AttributeError, OSError):  # no CPU affinity, or refused
+            pass
 
     def share(wanted=lambda: True):
         """(index, result) pairs of the points pulled while wanted(), and
@@ -317,13 +333,17 @@ def _map_points(worker, payloads, threads):
 
     children, reports, lost = [], [], []  # (pid, read end of its report pipe)
     try:
-        for _ in range(min(threads, n) - 1):
+        procs = min(threads, n)
+        if procs > 1:
+            place(0)
+        for slot in range(1, procs):
             report, sink = os.pipe()
             pid = os.fork()
             if pid == 0:
                 code = 1
                 try:
                     os.close(report)
+                    place(slot)
                     with open(sink, "wb") as fh:  # an orphan stops pulling points
                         pickle.dump(share(lambda: os.getppid() == parent), fh)
                     code = 0
@@ -405,7 +425,8 @@ def cmd_spectrum(args) -> int:
     from . import fock  # noqa: F401  before _map_points forks: no worker imports it
 
     payloads = [(params, args.dim) for params in _scan_grid(args)]
-    rows = [row for point_rows in _map_points(_spectrum_point, payloads, args.threads)
+    rows = [row for point_rows in _map_points(_spectrum_point, payloads,
+                                              args.threads or _usable_cpus())
             for row in point_rows]
     cfg = _config_echo(args, ["q", "r", "kappa", "dim",
                               "scan-min", "scan-max", "scan-points"])

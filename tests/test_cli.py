@@ -307,6 +307,20 @@ def _no_fork():
     raise AssertionError("os.fork called")
 
 
+@pytest.fixture
+def forks(monkeypatch):
+    """Four usable CPUs, whatever the host's: the pids that called os.fork."""
+    forks, fork = [], os.fork
+
+    def counted():
+        forks.append(os.getpid())
+        return fork()
+
+    monkeypatch.setattr(cli, "_usable_cpus", lambda: 4)
+    monkeypatch.setattr(os, "fork", counted)
+    return forks
+
+
 class TestForkedWorkers:
     """_map_points on one process or more: results come back in order, a
     failure anywhere ends the run as it would on one process, and every child
@@ -350,6 +364,37 @@ class TestForkedWorkers:
         with pytest.raises(ValueError, match="^point 2$"):
             cli._map_points(point, list(range(5)), 1)
         assert called == [0, 1, 2]
+
+    def test_each_process_moves_onto_a_cpu_of_its_own_then_restores_its_mask(
+            self, tmp_path, monkeypatch, no_child_left):
+        # the recorder appends to a file, so the children's calls are seen too
+        log = tmp_path / "affinity"
+
+        def record(pid, mask):
+            with open(log, "a") as fh:
+                fh.write(json.dumps([os.getpid(), sorted(mask)]) + "\n")
+
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2, 3}, raising=False)
+        monkeypatch.setattr(os, "sched_setaffinity", record, raising=False)
+        assert cli._map_points(lambda i: -i, [1, 2, 3], 3) == [-1, -2, -3]
+        masks = {}
+        for pid, mask in map(json.loads, read_lines(log)):
+            masks.setdefault(pid, []).append(mask)
+        assert len(masks) == 3 and masks[os.getpid()][0] == [0]
+        assert sorted(first for first, *_ in masks.values()) == [[0], [1], [2]]
+        assert all(rest == [[0, 1, 2, 3]] for _, *rest in masks.values())
+
+    @pytest.mark.parametrize("affinity", ["refused", "missing"])
+    def test_a_process_that_cannot_move_stays_where_it_is(
+            self, monkeypatch, no_child_left, affinity):
+        if affinity == "refused":
+            def refuse(pid, mask):
+                raise OSError(errno.EINVAL, "Invalid argument")
+            monkeypatch.setattr(os, "sched_setaffinity", refuse, raising=False)
+        else:
+            monkeypatch.delattr(os, "sched_setaffinity", raising=False)
+        payloads = list(range(6))
+        assert cli._map_points(lambda i: i * i, payloads, 3) == [i * i for i in payloads]
 
     @pytest.fixture
     def marker(self, tmp_path):
@@ -440,6 +485,15 @@ class TestSpectrum:
         assert a.read_bytes() == b.read_bytes()
         assert len(data_rows(a)) == 1 + 3 * 48
 
+    def test_runs_on_every_usable_cpu_by_default(self, tmp_path, forks, no_child_left):
+        # four usable CPUs and three points: this process and two children
+        argv = ["spectrum", "--dim", "16", "--scan-points", "3"]
+        assert main(argv + ["--out", str(tmp_path / "default.csv")]) == cli.EXIT_OK
+        assert forks == [os.getpid()] * 2
+        assert main(argv + ["--threads", "1", "--out", str(tmp_path / "one.csv")]) == cli.EXIT_OK
+        assert len(forks) == 2
+        assert (tmp_path / "default.csv").read_bytes() == (tmp_path / "one.csv").read_bytes()
+
 
 class TestBlasThreads:
     def test_spectrum_bytes_do_not_depend_on_blas_threads(self, tmp_path):
@@ -466,8 +520,8 @@ class TestBlasThreads:
 
 class TestColdStart:
     def test_light_commands_import_no_scipy_linalg_special_or_constants(self, tmp_path):
-        """resonances, a serial spectrum, an energy-scan on every usable CPU
-        (the default, which forks its workers on a multi-core host), evolve
+        """resonances, a spectrum and an energy-scan on every usable CPU
+        (the default, which forks their workers on a multi-core host), evolve
         and qfunc use neither Bessel functions, SI constants, a process pool
         nor the scipy.linalg package, so none of those modules loads, nor
         scipy's array-API layer: each would add to every cold start.  Only
@@ -732,20 +786,6 @@ class TestVerify:
     def untimed(text):
         """text without each line's (N.NNNs) timing."""
         return re.sub(r" \([0-9.]+s\)", "", text)
-
-    @pytest.fixture
-    def forks(self, monkeypatch):
-        """kho verify on four processes, whatever the host's CPUs: the pids
-        that called os.fork."""
-        forks, fork = [], os.fork
-
-        def counted():
-            forks.append(os.getpid())
-            return fork()
-
-        monkeypatch.setattr(cli, "_usable_cpus", lambda: 4)
-        monkeypatch.setattr(os, "fork", counted)
-        return forks
 
     @pytest.mark.parametrize("level", ["quick", "full"])
     def test_forked_lines_match_one_process(self, capsys, forks, no_child_left, level):

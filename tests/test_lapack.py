@@ -137,14 +137,16 @@ def test_indefinite_matrix_is_lin_alg_error():
 
 
 def test_syevr_workspace_is_queried_once_per_size(tmp_path, monkeypatch):
-    """The default 161-point spectrum at D = 10 diagonalizes two 5 x 5
-    blocks per point and asks syevr for its workspace once."""
+    """The default 161-point spectrum at D = 10, on one process, where the
+    calls are counted, diagonalizes two 5 x 5 blocks per point and asks
+    syevr for its workspace once."""
     queries, solves = [], []
     query, syevr = _lapack._syevr_lwork, _lapack._syevr
     monkeypatch.setattr(_lapack, "_syevr_lwork", lambda n: queries.append(n) or query(n))
     monkeypatch.setattr(_lapack, "_syevr", lambda a, **kw: solves.append(a.shape) or syevr(a, **kw))
     _lapack._workspace.cache_clear()
-    argv = ["spectrum", "--dim", "10", "--out", str(tmp_path / "spectrum.csv")]
+    argv = ["spectrum", "--dim", "10", "--threads", "1",
+            "--out", str(tmp_path / "spectrum.csv")]
     assert cli.main(argv) == cli.EXIT_OK
     assert len(solves) >= 2 * 161 and set(solves) == {(5, 5)}
     assert queries == [5]

@@ -34,8 +34,8 @@ def test_traced_replay_fires_every_counter(tmp_path, capsys, monkeypatch):
                   "--threads", "1", "--out", str(tmp_path / "scan.csv")])
         assert counters["fock.kicks"] > 3
 
-        # SpectrumResult.n_discarded, through cli._spectrum_point
-        assert cli.main(["spectrum", "--dim", "32", "--scan-points", "2",
+        # SpectrumResult.n_discarded, through cli._spectrum_point in this process
+        assert cli.main(["spectrum", "--dim", "32", "--scan-points", "2", "--threads", "1",
                          "--out", str(tmp_path / "spectrum.csv")]) == cli.EXIT_OK
         assert "fock.quasienergy_spectrum.n_discarded" in counters
 
